@@ -6,7 +6,6 @@
 package hetmodel_test
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -199,7 +198,9 @@ func BenchmarkEstimation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, n := range []int{3200, 4800, 6400, 9600} {
-			models.EstimateAll(candidates, n)
+			if _, _, err := models.Optimize(candidates, n); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -484,18 +485,3 @@ func benchmarkSweep(b *testing.B, workers int) {
 func BenchmarkSweepWorkers1(b *testing.B)   { benchmarkSweep(b, 1) }
 func BenchmarkSweepWorkers4(b *testing.B)   { benchmarkSweep(b, 4) }
 func BenchmarkSweepWorkersMax(b *testing.B) { benchmarkSweep(b, 0) }
-
-// BenchmarkEstimateAllWorkers measures the pure model-evaluation sweep
-// (no simulation) at several worker counts.
-func BenchmarkEstimateAllWorkers(b *testing.B) {
-	_, bms := fixtures(b)
-	candidates := experiments.EvalConfigs()
-	models := bms["Basic"].Models
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				models.EstimateAllWorkers(candidates, 6400, workers)
-			}
-		})
-	}
-}

@@ -8,13 +8,11 @@
 //	hetopt -campaign nl -n 9600 -verify    # also simulate every candidate
 //	hetopt -campaign nl -n 9600 -heuristic # hill-climb instead of exhaustive
 //	hetopt -campaign nl -n 9600 -topk 5    # ranked list instead of one winner
-//	hetopt -campaign nl -n 9600 -space     # streaming search over the full grid
+//	hetopt -model models.json -n 9600 -classes 0 -maxprocs 8
 //
-// With -space the search runs over the paper's full evaluation grid through
-// the compiled-evaluator streaming search (ModelSet.OptimizeSpace) instead
-// of materializing the candidate list, and reports how many candidates the
-// monotone lower bound pruned; -noprune disables the bound pruning (the
-// winners are identical either way, it only costs time). The -classes,
+// Every exhaustive run takes one route: the paper's evaluation grid streamed
+// through the compiled, pruned search (ModelSet.OptimizeSpace), which
+// reports how many candidates its lower bounds skipped. The -classes,
 // -maxprocs and -maxbytes flags restrict the candidate set structurally —
 // the kernel prunes whole subtrees that cannot satisfy them, and the ranking
 // is bit-identical to filtering the unconstrained stream.
@@ -23,7 +21,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strconv"
 	"strings"
 
@@ -31,7 +31,6 @@ import (
 	"hetmodel/internal/core"
 	"hetmodel/internal/experiments"
 	"hetmodel/internal/measure"
-	"hetmodel/internal/parallel"
 	"hetmodel/internal/profiling"
 	"hetmodel/internal/stats"
 	"hetmodel/internal/version"
@@ -48,11 +47,9 @@ func main() {
 		verify    = flag.Bool("verify", false, "simulate every candidate and report the actual optimum")
 		workers   = flag.Int("workers", 0, "concurrent simulations/evaluations (0 = GOMAXPROCS, 1 = sequential)")
 		topk      = flag.Int("topk", 1, "report the K best configurations instead of only the winner")
-		space     = flag.Bool("space", false, "stream the full evaluation grid through the compiled search instead of the 62-candidate list")
-		noprune   = flag.Bool("noprune", false, "with -space: disable lower-bound pruning (same winners, more work)")
-		classesCS = flag.String("classes", "", "with -space: comma-separated PE classes a candidate may use (empty = all)")
-		maxprocs  = flag.Int("maxprocs", 0, "with -space: cap on the total process count P (0 = no cap)")
-		maxbytes  = flag.Float64("maxbytes", 0, "with -space: cap on the per-PE resident set in bytes, M·8N²/P (0 = no cap)")
+		classesCS = flag.String("classes", "", "comma-separated PE classes a candidate may use (empty = all)")
+		maxprocs  = flag.Int("maxprocs", 0, "cap on the total process count P (0 = no cap)")
+		maxbytes  = flag.Float64("maxbytes", 0, "cap on the per-PE resident set in bytes, M·8N²/P (0 = no cap)")
 	)
 	prof := profiling.AddFlags(nil)
 	version.AddFlag()
@@ -72,7 +69,7 @@ func main() {
 
 	var models *core.ModelSet
 	if *modelPath != "" {
-		models, err = loadModelSet(*modelPath)
+		models, err = core.LoadModelSetFile(*modelPath)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -95,59 +92,28 @@ func main() {
 		models = bm.Models
 	}
 
-	if *heuristic && (*space || *topk > 1) {
-		log.Fatal("-heuristic tracks a single incumbent; it cannot be combined with -space or -topk")
-	}
 	cons, err := parseConstraints(*classesCS, *maxprocs, *maxbytes)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if cons != nil && !*space {
-		log.Fatal("-classes/-maxprocs/-maxbytes constrain the streaming search; combine them with -space")
-	}
-	candidates := experiments.EvalConfigs()
 	var best cluster.Configuration
 	var tau float64
-	switch {
-	case *heuristic:
+	if *heuristic {
+		if *topk > 1 || cons != nil {
+			log.Fatal("-heuristic tracks a single unconstrained incumbent; it cannot be combined with -topk, -classes, -maxprocs or -maxbytes")
+		}
 		var evals int
 		best, tau, evals, err = models.OptimizeHeuristic(cluster.PaperEvaluationSpace(), *n)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("heuristic search: %d model evaluations\n", evals)
-	case *space:
-		res, err := models.OptimizeSpace(cluster.PaperEvaluationSpace(), *n, core.SearchOptions{
-			Workers: *workers, TopK: *topk, NoPrune: *noprune, Constraints: cons,
-		})
+		printWinner(os.Stdout, *n, best, tau)
+	} else {
+		best, tau, err = search(os.Stdout, models, *n, core.SearchOptions{Workers: *workers, TopK: *topk, Constraints: cons})
 		if err != nil {
 			log.Fatal(err)
 		}
-		ratio := 0.0
-		if res.Size > 0 {
-			ratio = 100 * float64(res.Pruned) / float64(res.Size)
-		}
-		fmt.Printf("streaming search: %d candidates, %d scored, %d pruned (%.1f%% pruned)\n",
-			res.Size, res.Scored, res.Pruned, ratio)
-		if *topk > 1 {
-			printRanked(res.Best, *n)
-		}
-		best, tau = res.Best[0].Config, res.Best[0].Tau
-	case *topk > 1:
-		ranked, err := rankCandidates(models, candidates, *n, *topk)
-		if err != nil {
-			log.Fatal(err)
-		}
-		printRanked(ranked, *n)
-		best, tau = ranked[0].Config, ranked[0].Tau
-	default:
-		best, tau, err = models.OptimizeWorkers(candidates, *n, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *topk <= 1 {
-		fmt.Printf("N=%d estimated best configuration %s (P1,M1,P2,M2), tau = %.1f s\n", *n, best, tau)
 	}
 
 	if !*verify {
@@ -157,7 +123,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	act, tHat, err := ctx.ActualBest(candidates, *n)
+	act, tHat, err := ctx.ActualBest(experiments.EvalConfigs(), *n)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -167,47 +133,30 @@ func main() {
 		stats.RelError(tau, tHat), stats.RelError(run.WallTime, tHat))
 }
 
-// rankCandidates scores a candidate list through a compiled evaluator and
-// keeps the k best by (tau, first-seen order); unscorable candidates are
-// skipped, and an error is returned only when nothing is scorable.
-func rankCandidates(ms *core.ModelSet, candidates []cluster.Configuration, n, k int) ([]core.Estimate, error) {
-	ev := ms.Compile(float64(n))
-	tk := parallel.NewTopK(k)
-	var lastErr error
-	for i, cfg := range candidates {
-		tau, err := ev.Estimate(cfg)
-		if err != nil {
-			lastErr = err
-			continue
+// search streams the paper's evaluation grid through the compiled search
+// and prints the outcome: the search statistics, then the single winner or,
+// for TopK > 1, the ranked list. It returns the winner.
+func search(out io.Writer, models *core.ModelSet, n int, opts core.SearchOptions) (cluster.Configuration, float64, error) {
+	res, err := models.OptimizeSpace(cluster.PaperEvaluationSpace(), n, opts)
+	if err != nil {
+		return cluster.Configuration{}, 0, err
+	}
+	fmt.Fprintf(out, "streaming search: %d candidates, %d scored, %d pruned (%.1f%% pruned)\n",
+		res.Size, res.Scored, res.Pruned, 100*float64(res.Pruned)/float64(res.Size))
+	best := res.Best[0]
+	if opts.TopK > 1 {
+		fmt.Fprintf(out, "N=%d top %d configurations (P1,M1,P2,M2):\n", n, len(res.Best))
+		for i, e := range res.Best {
+			fmt.Fprintf(out, "  %2d. %s  tau = %.1f s\n", i+1, e.Config, e.Tau)
 		}
-		tk.Offer(int64(i), tau)
+	} else {
+		printWinner(out, n, best.Config, best.Tau)
 	}
-	ranked := tk.Sorted()
-	if len(ranked) == 0 {
-		if lastErr == nil {
-			lastErr = core.ErrNoModel
-		}
-		return nil, fmt.Errorf("no scorable candidate among %d: %w", len(candidates), lastErr)
-	}
-	out := make([]core.Estimate, len(ranked))
-	for i, c := range ranked {
-		out[i] = core.Estimate{Config: candidates[c.Index], Tau: c.Score}
-	}
-	return out, nil
+	return best.Config, best.Tau, nil
 }
 
-func printRanked(best []core.Estimate, n int) {
-	fmt.Printf("N=%d top %d configurations (P1,M1,P2,M2):\n", n, len(best))
-	for i, e := range best {
-		fmt.Printf("  %2d. %s  tau = %.1f s\n", i+1, e.Config, e.Tau)
-	}
-}
-
-// loadModelSet reads and decodes a modelfit JSON file, rejecting files that
-// decode cleanly but do not describe a usable estimator (e.g. an empty or
-// truncated model list).
-func loadModelSet(path string) (*core.ModelSet, error) {
-	return core.LoadModelSetFile(path)
+func printWinner(out io.Writer, n int, best cluster.Configuration, tau float64) {
+	fmt.Fprintf(out, "N=%d estimated best configuration %s (P1,M1,P2,M2), tau = %.1f s\n", n, best, tau)
 }
 
 // parseConstraints assembles the structured search constraints from the

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,13 +11,58 @@ import (
 	"hetmodel/internal/core"
 )
 
+// TestSearchGolden pins the one search route's output on the committed
+// serving fixture: the default run, a ranked run and a constrained run. The
+// winner lines are what scripts/serve_smoke.sh and scripts/router_smoke.sh
+// compare hetserve's and hetrouter's answers against.
+func TestSearchGolden(t *testing.T) {
+	models, err := core.LoadModelSetFile(filepath.Join("..", "hetserve", "testdata", "model_nl.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts core.SearchOptions
+		want string
+	}{
+		{"default", core.SearchOptions{TopK: 1}, `streaming search: 62 candidates, 5 scored, 57 pruned (91.9% pruned)
+N=9600 estimated best configuration (1,4,8,1) (P1,M1,P2,M2), tau = 339.7 s
+`},
+		{"topk5", core.SearchOptions{TopK: 5}, `streaming search: 62 candidates, 10 scored, 52 pruned (83.9% pruned)
+N=9600 top 5 configurations (P1,M1,P2,M2):
+   1. (1,4,8,1)  tau = 339.7 s
+   2. (1,3,8,1)  tau = 343.5 s
+   3. (1,4,7,1)  tau = 343.5 s
+   4. (1,2,8,1)  tau = 350.6 s
+   5. (1,3,7,1)  tau = 350.6 s
+`},
+		{"classes0-maxprocs8", core.SearchOptions{TopK: 1, Constraints: &core.Constraints{Classes: []int{0}, MaxTotalProcs: 8}},
+			`streaming search: 62 candidates, 5 scored, 57 pruned (91.9% pruned)
+N=9600 estimated best configuration (1,1,0,0) (P1,M1,P2,M2), tau = 463.5 s
+`},
+	} {
+		var out bytes.Buffer
+		tc.opts.Workers = 1
+		best, tau, err := search(&out, models, 9600, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if out.String() != tc.want {
+			t.Errorf("%s: output\n%s\nwant\n%s", tc.name, out.String(), tc.want)
+		}
+		if !strings.Contains(tc.want, best.String()) || tau <= 0 {
+			t.Errorf("%s: returned winner %s (tau %v) is not in the printed output", tc.name, best, tau)
+		}
+	}
+}
+
 // TestLoadModelSetRejectsEmptyModel covers the fixture that bit us: a file
 // that unmarshals cleanly into a ModelSet with no models must be rejected
 // instead of being handed to the optimizer.
 func TestLoadModelSetRejectsEmptyModel(t *testing.T) {
-	_, err := loadModelSet(filepath.Join("testdata", "empty_model.json"))
+	_, err := core.LoadModelSetFile(filepath.Join("testdata", "empty_model.json"))
 	if err == nil {
-		t.Fatal("loadModelSet accepted an empty model file")
+		t.Fatal("LoadModelSetFile accepted an empty model file")
 	}
 	if !strings.Contains(err.Error(), "invalid model file") {
 		t.Errorf("error %q does not identify the file as invalid", err)
@@ -29,11 +75,11 @@ func TestLoadModelSetRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadModelSet(path); err == nil {
-		t.Fatal("loadModelSet accepted malformed JSON")
+	if _, err := core.LoadModelSetFile(path); err == nil {
+		t.Fatal("LoadModelSetFile accepted malformed JSON")
 	}
-	if _, err := loadModelSet(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("loadModelSet accepted a missing file")
+	if _, err := core.LoadModelSetFile(filepath.Join(dir, "missing.json")); err == nil {
+		t.Fatal("LoadModelSetFile accepted a missing file")
 	}
 }
 
@@ -52,7 +98,7 @@ func TestLoadModelSetRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := loadModelSet(path)
+	loaded, err := core.LoadModelSetFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

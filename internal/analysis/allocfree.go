@@ -7,9 +7,10 @@ import (
 )
 
 // AllocFree statically certifies that //het:allocfree functions — the kernel
-// paths the runtime 0-alloc benchmark gate tracks dynamically (the
-// SearchReuse walk, tailRun/leafRun, Evaluator.Tau/classTau, the vmpi
-// envelope path, QuantileReservoir.Add) — contain no allocation site along
+// paths the runtime 0-alloc benchmark gate tracks dynamically (the search
+// walker's walk/tailRun/leafRun, which Search and SearchReuse both run;
+// Evaluator.Tau/classTau; the vmpi envelope path;
+// QuantileReservoir.Add) — contain no allocation site along
 // any statically reachable path. Where the hotpath rules forbid a curated
 // list of expensive patterns, allocfree is stricter: every construct the
 // compiler may lower to a heap allocation is banned.

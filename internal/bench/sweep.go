@@ -70,7 +70,7 @@ var sixClassModel = sync.OnceValue(func() *core.ModelSet {
 })
 
 // sweepCandidates materializes the million configurations once, for the
-// legacy path (which needs the slice the old EstimateAllWorkers took).
+// legacy path (the per-candidate ModelSet.Estimate loop needs the slice).
 var sweepCandidates = sync.OnceValue(func() []cluster.Configuration {
 	cfgs, err := sweepSpace().Enumerate()
 	if err != nil {

@@ -2,23 +2,21 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"hetmodel/internal/cluster"
 )
 
 // Constraints are the structured candidate restrictions the search kernel
-// understands natively. The serving layer's query constraints — PE-class
-// subsets, total-process caps, per-PE memory bounds — used to reach the
-// search only as an opaque Filter closure, which forced every candidate to
-// be decoded and visited before rejection. Expressed structurally, the
-// walker compiles them into per-(class, pair) exclusion masks and
-// prefix/suffix cap checks that zero whole subtrees without visiting them.
+// understands natively: the serving layer's PE-class subsets, total-process
+// caps and per-PE memory bounds. The walker compiles them into per-(class,
+// pair) exclusion masks and prefix/suffix cap checks that zero whole
+// subtrees without decoding or visiting their candidates.
 //
-// Semantics are defined by FilterFunc: a structurally constrained search
-// returns bit-identical Best/BestIndex/Size to an unconstrained search over
-// the same grid with the equivalent filter closure (the constraints
-// property tests pin this). Only the Scored/Pruned split differs:
-// structurally excluded candidates count as pruned (skipped wholesale), not
+// Semantics are defined by FilterFunc: a constrained search returns
+// bit-identical Best/BestIndex/Size to ranking, by brute force, exactly the
+// candidates the closure accepts (the equivalence tests pin this).
+// Structurally excluded candidates count as pruned (skipped wholesale), not
 // scored.
 type Constraints struct {
 	// Classes lists the PE classes a candidate may use (nil or empty allows
@@ -29,6 +27,12 @@ type Constraints struct {
 	// MaxBytesPerPE caps the predetermined per-PE resident set of the
 	// paper's §3.4 memory model, Mi·8·N²/P bytes (0 = no cap).
 	MaxBytesPerPE float64
+}
+
+// equal reports whether c and o restrict identically, field for field.
+func (c *Constraints) equal(o *Constraints) bool {
+	return c.MaxTotalProcs == o.MaxTotalProcs && c.MaxBytesPerPE == o.MaxBytesPerPE &&
+		slices.Equal(c.Classes, o.Classes)
 }
 
 // zero reports whether the constraints restrict nothing.
@@ -60,7 +64,8 @@ func (c *Constraints) validate(classes int) error {
 // class count. This closure is the semantic ground truth: the structural
 // pruning path must accept and reject exactly the candidates it does, and
 // it remains the execution path for searches without dense grid tables
-// (memory-guarded evaluators, oversized spaces) and for equivalence tests.
+// (memory-guarded evaluators, oversized spaces) and the predicate of the
+// brute-force oracle in the equivalence tests.
 func (c *Constraints) FilterFunc(n float64, classes int) func(cfg cluster.Configuration) bool {
 	if c.zero() {
 		return nil
@@ -155,15 +160,4 @@ func (c *Constraints) compile(grid *cluster.Grid, t *gridTables, n float64) *con
 		plan.pairOK[ci] = row
 	}
 	return plan
-}
-
-// andFilter combines two candidate predicates; either may be nil.
-func andFilter(a, b func(cfg cluster.Configuration) bool) func(cfg cluster.Configuration) bool {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(cfg cluster.Configuration) bool { return a(cfg) && b(cfg) }
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -87,10 +88,10 @@ func randomConstraints(rng *rand.Rand, classes int, n float64) *Constraints {
 	return c
 }
 
-// TestConstrainedSearchMatchesFilterOracle is the tentpole's property test:
-// a structurally constrained search — ranged, pruned, at several worker
-// counts — is byte-identical to the unpruned search that applies the same
-// constraints as their defining filter closure, over randomized spaces,
+// TestConstrainedSearchMatchesFilterOracle is the constraints property
+// test: a structurally constrained search — ranged, at several worker
+// counts — is byte-identical to ranking by brute force the candidates the
+// constraints' defining FilterFunc closure accepts, over randomized
 // constraints and partitions, including constraints that empty a shard or
 // the whole grid.
 func TestConstrainedSearchMatchesFilterOracle(t *testing.T) {
@@ -113,81 +114,23 @@ func TestConstrainedSearchMatchesFilterOracle(t *testing.T) {
 				if rr.Lo != 0 || rr.Hi != grid.Size() {
 					shard = &rr
 				}
-				want, wantErr := ev.Search(grid, SearchOptions{
-					Workers: 1, TopK: k, NoPrune: true, Range: shard,
-					Filter: cons.FilterFunc(2400, classes),
-				})
+				want, size := bruteForce(ev, grid, shard, cons, k)
 				for _, workers := range []int{1, 2, 7} {
-					for _, noprune := range []bool{false, true} {
-						got, err := ev.Search(grid, SearchOptions{
-							Workers: workers, TopK: k, NoPrune: noprune, Range: shard,
-							Constraints: cons,
-						})
-						if (err == nil) != (wantErr == nil) {
-							t.Fatalf("classes=%d trial=%d [%d,%d) w=%d noprune=%v cons=%+v: err %v, oracle err %v",
-								classes, trial, rr.Lo, rr.Hi, workers, noprune, cons, err, wantErr)
-						}
-						if err != nil {
-							continue
-						}
-						if rankedJSON(t, got.Best, got.BestIndex) != rankedJSON(t, want.Best, want.BestIndex) {
-							t.Fatalf("classes=%d trial=%d [%d,%d) w=%d noprune=%v cons=%+v:\n got %s\nwant %s",
-								classes, trial, rr.Lo, rr.Hi, workers, noprune, cons,
-								rankedJSON(t, got.Best, got.BestIndex), rankedJSON(t, want.Best, want.BestIndex))
-						}
-						if got.Size != want.Size {
-							t.Fatalf("classes=%d trial=%d: size %d vs oracle %d", classes, trial, got.Size, want.Size)
-						}
-						if got.Scored+got.Pruned != got.Size {
-							t.Fatalf("classes=%d trial=%d cons=%+v: accounting %d scored + %d pruned != %d size",
-								classes, trial, cons, got.Scored, got.Pruned, got.Size)
-						}
-					}
+					got, err := ev.Search(grid, SearchOptions{
+						Workers: workers, TopK: k, Range: shard, Constraints: cons,
+					})
+					label := fmt.Sprintf("classes=%d trial=%d [%d,%d) w=%d cons=%+v",
+						classes, trial, rr.Lo, rr.Hi, workers, cons)
+					checkAgainst(t, label, grid, got, err, want, size, shard != nil)
 				}
 			}
 		}
 	}
 }
 
-// TestConstraintsComposeWithFilter pins that Constraints and a user Filter
-// compose (both must accept) and equal the conjoined closures.
-func TestConstraintsComposeWithFilter(t *testing.T) {
-	ms := multiClassWorld(t, 2)
-	ev := ms.Compile(2400)
-	grid, err := multiClassSpace(2).Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cons := &Constraints{MaxTotalProcs: 10}
-	oddOnly := func(cfg cluster.Configuration) bool {
-		p := 0
-		for _, u := range cfg.Use {
-			p += u.PEs * u.Procs
-		}
-		return p%2 == 1
-	}
-	want, err := ev.Search(grid, SearchOptions{
-		Workers: 1, TopK: 4, NoPrune: true,
-		Filter: andFilter(cons.FilterFunc(2400, 2), oddOnly),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ev.Search(grid, SearchOptions{
-		Workers: 2, TopK: 4, Constraints: cons, Filter: oddOnly,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rankedJSON(t, got.Best, got.BestIndex) != rankedJSON(t, want.Best, want.BestIndex) {
-		t.Fatalf("constraints+filter differ from conjoined closures:\n got %s\nwant %s",
-			rankedJSON(t, got.Best, got.BestIndex), rankedJSON(t, want.Best, want.BestIndex))
-	}
-}
-
 // TestConstraintsGuardedFallback pins the closure fallback: a memory-guarded
 // evaluator has no dense tables, so structured constraints must run as their
-// closure and still match the explicit-filter oracle.
+// closure and still match the brute-force oracle.
 func TestConstraintsGuardedFallback(t *testing.T) {
 	guard := func(cfg cluster.Configuration, n float64) float64 { return 1 }
 	ms := richWorld(t, guard)
@@ -197,17 +140,14 @@ func TestConstraintsGuardedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	cons := &Constraints{Classes: []int{1}, MaxTotalProcs: 6}
-	want, err := ev.Search(grid, SearchOptions{Workers: 1, TopK: 3, Filter: cons.FilterFunc(6400, 2)})
-	if err != nil {
-		t.Fatal(err)
+	want, size := bruteForce(ev, grid, nil, cons, 3)
+	if len(want) != 3 {
+		t.Fatalf("vacuous: brute force ranked %d", len(want))
 	}
 	got, err := ev.Search(grid, SearchOptions{Workers: 1, TopK: 3, Constraints: cons})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rankedJSON(t, got.Best, got.BestIndex) != rankedJSON(t, want.Best, want.BestIndex) {
-		t.Fatalf("guarded fallback differs:\n got %s\nwant %s",
-			rankedJSON(t, got.Best, got.BestIndex), rankedJSON(t, want.Best, want.BestIndex))
+	checkAgainst(t, "guarded", grid, got, err, want, size, false)
+	if got.Scored != got.Size {
+		t.Fatalf("fallback path scored %d of %d", got.Scored, got.Size)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -62,9 +61,9 @@ type ptEval struct {
 // many candidates at one size should compile once and reuse.
 //
 // The memory guard, when the model set has one, is carried over and invoked
-// per candidate with the configuration as the caller passed it (Tau) or
-// normalized (Estimate); the guards built by cluster.MemoryGuard normalize
-// internally, so both paths see identical decisions.
+// per candidate with the configuration as the caller passed it, where
+// ModelSet.Estimate passes it normalized; the guards built by
+// cluster.MemoryGuard normalize internally, so both see identical decisions.
 func (ms *ModelSet) Compile(n float64) *Evaluator {
 	ev := &Evaluator{classes: ms.Classes, n: n, guard: ms.Memory}
 	maxNT := make([]int, ms.Classes)
@@ -172,8 +171,8 @@ func (ev *Evaluator) classTau(class, procs, p int) (float64, bool) {
 }
 
 // Tau scores a configuration: the estimated execution time τ and whether
-// the model set can score it at all (the boolean counterpart of Estimate's
-// error). Tau allocates nothing: it treats classes with a nonpositive PE or
+// the model set can score it at all (the boolean counterpart of
+// ModelSet.Estimate's error). Tau allocates nothing: it treats classes with a nonpositive PE or
 // process count as unused instead of materializing a normalized copy, which
 // is equivalent by construction. The memory guard, when present, receives
 // the configuration exactly as passed.
@@ -210,40 +209,4 @@ func (ev *Evaluator) Tau(cfg cluster.Configuration) (float64, bool) {
 		total *= ev.guard(cfg, ev.n)
 	}
 	return total, true
-}
-
-// Estimate is the error-reporting counterpart of Tau, with the same
-// contract (normalization, error cases and values) as ModelSet.Estimate at
-// the compiled size.
-func (ev *Evaluator) Estimate(cfg cluster.Configuration) (float64, error) {
-	cfg = cfg.Normalize()
-	if len(cfg.Use) != ev.classes {
-		return 0, fmt.Errorf("%w: %d classes in config, model set has %d", ErrNoModel, len(cfg.Use), ev.classes)
-	}
-	p := cfg.TotalProcs()
-	total := math.Inf(-1)
-	used := false
-	for ci, u := range cfg.Use {
-		if u.PEs == 0 {
-			continue
-		}
-		used = true
-		ti, ok := ev.classTau(ci, u.Procs, p)
-		if !ok {
-			if p == u.Procs {
-				return 0, fmt.Errorf("%w: no N-T model for %v", ErrNoModel, Key{Class: ci, P: p, M: u.Procs})
-			}
-			return 0, fmt.Errorf("%w: no P-T model for %v", ErrNoModel, PTKey{Class: ci, M: u.Procs})
-		}
-		if ti > total {
-			total = ti
-		}
-	}
-	if !used {
-		return 0, fmt.Errorf("%w: empty configuration", ErrNoModel)
-	}
-	if ev.guard != nil {
-		total *= ev.guard(cfg, ev.n)
-	}
-	return total, nil
 }

@@ -81,8 +81,8 @@ func evalSpaces() []cluster.Space {
 }
 
 // TestEvaluatorBitIdenticalToModelSet is the core compilation contract:
-// the evaluator returns bit-for-bit the value ModelSet.Estimate returns,
-// and fails exactly where it fails, over the paper evaluation space and
+// Tau returns bit-for-bit the value ModelSet.Estimate returns, and reports
+// unscorable exactly where Estimate errors, over the paper evaluation space and
 // randomized spaces, at several problem sizes, with and without a guard.
 func TestEvaluatorBitIdenticalToModelSet(t *testing.T) {
 	guard := func(cfg cluster.Configuration, n float64) float64 {
@@ -104,20 +104,12 @@ func TestEvaluatorBitIdenticalToModelSet(t *testing.T) {
 				}
 				for _, cfg := range cfgs {
 					want, wantErr := ms.Estimate(cfg, n)
-					got, gotErr := ev.Estimate(cfg)
-					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("%s space %d n=%v %s: err %v vs %v", name, si, n, cfg, gotErr, wantErr)
-					}
-					if wantErr == nil && got != want {
-						t.Fatalf("%s space %d n=%v %s: evaluator %v, model set %v (diff %g)",
-							name, si, n, cfg, got, want, got-want)
-					}
 					tau, ok := ev.Tau(cfg)
 					if ok != (wantErr == nil) {
 						t.Fatalf("%s space %d n=%v %s: Tau ok=%v, Estimate err=%v", name, si, n, cfg, ok, wantErr)
 					}
 					if ok && tau != want {
-						t.Fatalf("%s space %d n=%v %s: Tau %v, Estimate %v", name, si, n, cfg, tau, want)
+						t.Fatalf("%s space %d n=%v %s: Tau %v, Estimate %v (diff %g)", name, si, n, cfg, tau, want, tau-want)
 					}
 				}
 			}
@@ -125,7 +117,8 @@ func TestEvaluatorBitIdenticalToModelSet(t *testing.T) {
 	}
 }
 
-// TestEvaluatorEstimateErrors pins the error cases to the ModelSet ones.
+// TestEvaluatorEstimateErrors pins the evaluator's unscorable cases to
+// ModelSet.Estimate's error cases.
 func TestEvaluatorEstimateErrors(t *testing.T) {
 	ms := richWorld(t, nil)
 	ev := ms.Compile(3200)
@@ -137,16 +130,14 @@ func TestEvaluatorEstimateErrors(t *testing.T) {
 		{Use: []cluster.ClassUse{{PEs: -3, Procs: 2}, {PEs: 0, Procs: 5}}}, // normalizes to empty
 	}
 	for _, cfg := range cases {
-		_, msErr := ms.Estimate(cfg, 3200)
-		_, evErr := ev.Estimate(cfg)
-		if msErr == nil || evErr == nil {
-			t.Fatalf("%s: expected errors, got %v / %v", cfg, msErr, evErr)
+		if _, err := ms.Estimate(cfg, 3200); !errors.Is(err, ErrNoModel) {
+			t.Fatalf("%s: model set error %v does not wrap ErrNoModel", cfg, err)
 		}
-		if !errors.Is(evErr, ErrNoModel) {
-			t.Fatalf("%s: evaluator error %v does not wrap ErrNoModel", cfg, evErr)
+		if tau, ok := ev.Tau(cfg); ok {
+			t.Fatalf("%s: Tau scored %v where Estimate errors", cfg, tau)
 		}
-		if evErr.Error() != msErr.Error() {
-			t.Fatalf("%s: evaluator error %q, model set %q", cfg, evErr, msErr)
+		if _, _, err := ev.Optimize([]cluster.Configuration{cfg}); !errors.Is(err, ErrNoModel) {
+			t.Fatalf("%s: Optimize over the lone unscorable candidate: err = %v", cfg, err)
 		}
 	}
 }
@@ -159,18 +150,18 @@ func TestEvaluatorSnapshotsModelSet(t *testing.T) {
 	// §4.1 adjustment participates in the estimate and removing it matters.
 	cfg := cluster.Configuration{Use: []cluster.ClassUse{{PEs: 1, Procs: 2}, {PEs: 8, Procs: 2}}}
 	ev := ms.Compile(6400)
-	before, err := ev.Estimate(cfg)
-	if err != nil {
-		t.Fatal(err)
+	before, ok := ev.Tau(cfg)
+	if !ok {
+		t.Fatal("unscorable")
 	}
 	ms.Adjust = nil // mutate after compilation
-	after, err := ev.Estimate(cfg)
-	if err != nil || after != before {
-		t.Fatalf("compiled estimate changed after model-set mutation: %v -> %v (%v)", before, after, err)
+	after, ok := ev.Tau(cfg)
+	if !ok || after != before {
+		t.Fatalf("compiled estimate changed after model-set mutation: %v -> %v (%v)", before, after, ok)
 	}
-	fresh, err := ms.Compile(6400).Estimate(cfg)
-	if err != nil {
-		t.Fatal(err)
+	fresh, ok := ms.Compile(6400).Tau(cfg)
+	if !ok {
+		t.Fatal("unscorable after mutation")
 	}
 	if fresh == before {
 		t.Fatal("mutation had no effect on a fresh compile; test is vacuous")

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"hetmodel/internal/cluster"
-	"hetmodel/internal/parallel"
 )
 
 // Estimate is one scored candidate configuration.
@@ -13,32 +13,6 @@ type Estimate struct {
 	Config cluster.Configuration
 	// Tau is the estimated execution time (the paper's τ).
 	Tau float64
-	// Err is non-nil when the model set cannot estimate the configuration
-	// (missing bin); such candidates are skipped by the optimizer.
-	Err error
-}
-
-// EstimateAll scores every candidate configuration at problem size n,
-// in the candidates' order, using GOMAXPROCS workers.
-func (ms *ModelSet) EstimateAll(candidates []cluster.Configuration, n int) []Estimate {
-	return ms.EstimateAllWorkers(candidates, n, 0)
-}
-
-// EstimateAllWorkers scores every candidate on up to `workers` goroutines
-// (<= 0 selects GOMAXPROCS, 1 forces sequential evaluation). The model set
-// is compiled once (see Compile) and the evaluator is read-only during
-// estimation, each candidate fills its own slot, and the evaluator scores
-// bit-identically to Estimate — so the output is identical at any worker
-// count and to the uncompiled path.
-func (ms *ModelSet) EstimateAllWorkers(candidates []cluster.Configuration, n, workers int) []Estimate {
-	ev := ms.Compile(float64(n))
-	out := make([]Estimate, len(candidates))
-	parallel.ForEach(len(candidates), workers, func(i int) error {
-		tau, err := ev.Estimate(candidates[i])
-		out[i] = Estimate{Config: candidates[i], Tau: tau, Err: err}
-		return nil
-	})
-	return out
 }
 
 // Optimize exhaustively evaluates the candidates (the paper examines every
@@ -46,50 +20,24 @@ func (ms *ModelSet) EstimateAllWorkers(candidates []cluster.Configuration, n, wo
 // estimated execution time. Candidates the model cannot score are skipped;
 // an error is returned only when no candidate is scorable.
 func (ms *ModelSet) Optimize(candidates []cluster.Configuration, n int) (cluster.Configuration, float64, error) {
-	return ms.OptimizeWorkers(candidates, n, 0)
-}
-
-// OptimizeWorkers is Optimize with an explicit worker count (<= 0 selects
-// GOMAXPROCS). Candidates are scored concurrently through a compiled
-// evaluator without materializing a per-candidate []Estimate: each worker
-// keeps its own best over the chunks it claims, and the per-worker bests
-// are merged by (tau, candidate index) — a strictly smaller tau wins, so
-// ties keep the earliest candidate — making the selected configuration
-// identical to the sequential scan at any worker count.
-func (ms *ModelSet) OptimizeWorkers(candidates []cluster.Configuration, n, workers int) (cluster.Configuration, float64, error) {
-	return ms.Compile(float64(n)).Optimize(candidates, workers)
+	return ms.Compile(float64(n)).Optimize(candidates)
 }
 
 // Optimize returns the candidate with the smallest τ at the evaluator's
-// compiled size, with OptimizeWorkers' contract (skip unscorable
-// candidates, ties keep the earliest, identical at any worker count).
-func (ev *Evaluator) Optimize(candidates []cluster.Configuration, workers int) (cluster.Configuration, float64, error) {
-	w := parallel.Workers(workers, len(candidates))
-	if w < 1 {
-		w = 1
-	}
-	shards := make([]*parallel.TopK, w)
-	parallel.Chunks(int64(len(candidates)), 1024, w, func(worker int, lo, hi int64) {
-		if shards[worker] == nil {
-			shards[worker] = parallel.NewTopK(1)
-		}
-		for i := lo; i < hi; i++ {
-			if tau, ok := ev.Tau(candidates[i]); ok {
-				shards[worker].Offer(i, tau)
-			}
-		}
-	})
-	lists := make([][]parallel.Candidate, 0, w)
-	for _, sh := range shards {
-		if sh != nil {
-			lists = append(lists, sh.Sorted())
+// compiled size: a sequential scan where only a strictly smaller τ replaces
+// the incumbent, so ties keep the earliest candidate and unscorable, +Inf
+// (guard-excluded) and NaN candidates never win.
+func (ev *Evaluator) Optimize(candidates []cluster.Configuration) (cluster.Configuration, float64, error) {
+	best, bestTau := -1, math.Inf(1)
+	for i, cfg := range candidates {
+		if tau, ok := ev.Tau(cfg); ok && tau < bestTau {
+			best, bestTau = i, tau
 		}
 	}
-	merged := parallel.MergeTopK(1, lists)
-	if len(merged) == 0 {
+	if best < 0 {
 		return cluster.Configuration{}, 0, fmt.Errorf("%w: no scorable candidate among %d", ErrNoModel, len(candidates))
 	}
-	return candidates[merged[0].Index], merged[0].Score, nil
+	return candidates[best], bestTau, nil
 }
 
 // OptimizeHeuristic implements the search-space reduction the paper lists

@@ -29,24 +29,6 @@ func candidateSpace() []cluster.Configuration {
 	return cfgs
 }
 
-func TestEstimateAllSkipsUnscorable(t *testing.T) {
-	ms := builtWorld(t)
-	cands := []cluster.Configuration{
-		{Use: []cluster.ClassUse{{}, {PEs: 8, Procs: 1}}},
-		{Use: []cluster.ClassUse{{}, {PEs: 1, Procs: 6}}}, // unmeasured M
-	}
-	ests := ms.EstimateAll(cands, 3200)
-	if len(ests) != 2 {
-		t.Fatalf("estimates = %d", len(ests))
-	}
-	if ests[0].Err != nil {
-		t.Fatalf("scorable candidate errored: %v", ests[0].Err)
-	}
-	if ests[1].Err == nil {
-		t.Fatal("unscorable candidate passed")
-	}
-}
-
 func TestOptimizePicksMinimum(t *testing.T) {
 	ms := builtWorld(t)
 	cands := candidateSpace()
@@ -54,10 +36,11 @@ func TestOptimizePicksMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Verify it really is the minimum over scorable candidates.
-	for _, e := range ms.EstimateAll(cands, 6400) {
-		if e.Err == nil && e.Tau < tau-1e-12 {
-			t.Fatalf("candidate %s (%v) beats chosen %s (%v)", e.Config, e.Tau, best, tau)
+	// Verify it really is the minimum over scorable candidates, through the
+	// uncompiled reference estimator.
+	for _, cfg := range cands {
+		if ref, err := ms.Estimate(cfg, 6400); err == nil && ref < tau {
+			t.Fatalf("candidate %s (%v) beats chosen %s (%v)", cfg, ref, best, tau)
 		}
 	}
 }
@@ -184,54 +167,38 @@ func TestEstimateMonotoneInN(t *testing.T) {
 	}
 }
 
-// TestOptimizeWorkersDeterminism asserts the concurrent candidate sweep
-// picks the identical configuration and tau as the sequential scan, and
-// that the full estimate vectors match bit-for-bit.
-func TestOptimizeWorkersDeterminism(t *testing.T) {
+// TestOptimizeTieBreak pins the tie rule of the slice optimizer: among equal
+// taus the earliest candidate wins.
+func TestOptimizeTieBreak(t *testing.T) {
 	ms := builtWorld(t)
 	cands := candidateSpace()
-	seqBest, seqTau, seqErr := ms.OptimizeWorkers(cands, 6400, 1)
-	seqEsts := ms.EstimateAllWorkers(cands, 6400, 1)
-	for _, workers := range []int{2, 8, 0} {
-		best, tau, err := ms.OptimizeWorkers(cands, 6400, workers)
-		if (err == nil) != (seqErr == nil) {
-			t.Fatalf("workers=%d: err %v vs sequential %v", workers, err, seqErr)
-		}
-		if best.Key() != seqBest.Key() || tau != seqTau {
-			t.Fatalf("workers=%d: picked %s (%v), sequential picked %s (%v)",
-				workers, best, tau, seqBest, seqTau)
-		}
-		ests := ms.EstimateAllWorkers(cands, 6400, workers)
-		if len(ests) != len(seqEsts) {
-			t.Fatalf("workers=%d: %d estimates vs %d", workers, len(ests), len(seqEsts))
-		}
-		for i := range ests {
-			if ests[i].Tau != seqEsts[i].Tau || (ests[i].Err == nil) != (seqEsts[i].Err == nil) {
-				t.Fatalf("workers=%d: estimate %d differs: %+v vs %+v", workers, i, ests[i], seqEsts[i])
-			}
-		}
-	}
-}
-
-// TestOptimizeWorkersTieBreak pins the tie rule: among equal taus the
-// earliest candidate wins at every worker count.
-func TestOptimizeWorkersTieBreak(t *testing.T) {
-	ms := builtWorld(t)
-	cands := candidateSpace()
-	// Duplicate the full list: every candidate now has an equal-tau twin
-	// later in the order; the winner must come from the first half.
-	doubled := append(append([]cluster.Configuration(nil), cands...), cands...)
-	seqBest, _, err := ms.OptimizeWorkers(doubled, 6400, 1)
+	want, wantTau, err := ms.Optimize(cands, 6400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{4, 0} {
-		best, _, err := ms.OptimizeWorkers(doubled, 6400, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if best.Key() != seqBest.Key() {
-			t.Fatalf("workers=%d: tie broke to %s, sequential picked %s", workers, best, seqBest)
+	// Reverse the list and append the original: every candidate now has an
+	// equal-tau twin later in the order, and the scan must return the
+	// winner's first occurrence (in the reversed half), not its twin.
+	doubled := make([]cluster.Configuration, 0, 2*len(cands))
+	for i := len(cands) - 1; i >= 0; i-- {
+		doubled = append(doubled, cands[i])
+	}
+	doubled = append(doubled, cands...)
+	best, tau, err := ms.Compile(6400).Optimize(doubled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.Key() != want.Key() || tau != wantTau {
+		t.Fatalf("doubled list picked %s (%v), single list %s (%v)", best, tau, want, wantTau)
+	}
+	// Identity, not just equality: the returned configuration shares the
+	// earliest twin's backing array.
+	for i, cfg := range doubled {
+		if cfg.Key() == want.Key() {
+			if &best.Use[0] != &cfg.Use[0] {
+				t.Fatalf("tie broke to a later twin of %s, not its first occurrence at %d", want, i)
+			}
+			break
 		}
 	}
 }

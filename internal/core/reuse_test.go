@@ -3,13 +3,11 @@ package core
 import (
 	"math/rand"
 	"testing"
-
-	"hetmodel/internal/cluster"
 )
 
 // TestSearchReuseMatchesSearch drives one Reusable through a shuffled mix of
-// options — plain, constrained, filtered, ranged, unpruned, varying k, and
-// across two evaluators and two grids — checking every answer bit-identical
+// options — plain, constrained, ranged, varying k, and across two
+// evaluators and two grids — checking every answer bit-identical
 // to a fresh sequential Search. The buffer recycling must be invisible.
 func TestSearchReuseMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
@@ -26,13 +24,6 @@ func TestSearchReuseMatchesSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cons := &Constraints{MaxTotalProcs: 14, MaxBytesPerPE: 8 * 2400 * 2400 * 1.5}
-	evenOnly := func(cfg cluster.Configuration) bool {
-		p := 0
-		for _, u := range cfg.Use {
-			p += u.PEs * u.Procs
-		}
-		return p%2 == 0
-	}
 	var r Reusable
 	for trial := 0; trial < 60; trial++ {
 		ev := evs[rng.Intn(2)]
@@ -40,12 +31,9 @@ func TestSearchReuseMatchesSearch(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			grid = gridB
 		}
-		opts := SearchOptions{TopK: 1 + rng.Intn(6), NoPrune: rng.Intn(3) == 0}
+		opts := SearchOptions{TopK: 1 + rng.Intn(6)}
 		if rng.Intn(2) == 0 {
 			opts.Constraints = cons
-		}
-		if rng.Intn(3) == 0 {
-			opts.Filter = evenOnly
 		}
 		if rng.Intn(3) == 0 {
 			lo := rng.Int63n(grid.Size())
@@ -74,7 +62,9 @@ func TestSearchReuseMatchesSearch(t *testing.T) {
 
 // TestSearchReusePlanTracksEvaluator pins the plan-cache key: the same
 // Reusable and Constraints at a different compiled size must not reuse the
-// stale memory-exclusion plan.
+// stale memory-exclusion plan, and neither may the same Constraints pointer
+// whose fields were mutated in place between calls (the cache keys on the
+// constraint values, not on pointer identity).
 func TestSearchReusePlanTracksEvaluator(t *testing.T) {
 	ms := multiClassWorld(t, 2)
 	grid, err := multiClassSpace(2).Compile()
@@ -101,6 +91,36 @@ func TestSearchReusePlanTracksEvaluator(t *testing.T) {
 		if got.Scored != want.Scored || got.Pruned != want.Pruned {
 			t.Fatalf("n=%v: accounting (%d,%d) vs (%d,%d)", n, got.Scored, got.Pruned, want.Scored, want.Pruned)
 		}
+	}
+
+	ev := ms.Compile(2400)
+	mutating := &Constraints{MaxTotalProcs: 4}
+	var prev string
+	for step, mutate := range []func(){
+		func() {},
+		func() { mutating.MaxTotalProcs = 12 },
+		func() { mutating.Classes = []int{1} },
+		func() { mutating.Classes[0] = 0 },
+		func() { mutating.MaxBytesPerPE = 8 * 2400 * 2400 * 0.4 },
+	} {
+		mutate()
+		want, err := ev.Search(grid, SearchOptions{Workers: 1, TopK: 3, Constraints: mutating})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ev.SearchReuse(grid, SearchOptions{TopK: 3, Constraints: mutating}, &r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, wantJSON := rankedJSON(t, got.Best, got.BestIndex), rankedJSON(t, want.Best, want.BestIndex)
+		if gotJSON != wantJSON {
+			t.Fatalf("step %d cons=%+v: in-place mutation searched a stale plan\n got %s\nwant %s",
+				step, mutating, gotJSON, wantJSON)
+		}
+		if wantJSON == prev {
+			t.Fatalf("step %d cons=%+v: mutation did not change the answer; test is vacuous", step, mutating)
+		}
+		prev = wantJSON
 	}
 }
 

@@ -13,17 +13,12 @@ type SearchOptions struct {
 	// Workers bounds the concurrency (<= 0 selects GOMAXPROCS, 1 forces a
 	// sequential scan). The winners are identical at any setting.
 	Workers int
-	// TopK selects how many best candidates to return (<= 0 means 1).
+	// TopK selects how many best candidates to return (<= 0 means 1). It is
+	// clamped to the number of candidates in the searched range — a range of
+	// S candidates has at most S results — so an absurd K costs nothing.
 	TopK int
-	// NoPrune disables the lower-bound subtree pruning. Pruning never
-	// changes the returned candidates — it only skips subtrees whose bound
-	// proves they rank strictly worse than results already in hand — so
-	// this switch exists for benchmarking and for the equivalence tests.
-	// Structural constraint exclusions (see Constraints) are not bounds and
-	// stay active: they define the candidate set, they do not approximate it.
-	NoPrune bool
 	// Range, when non-nil, restricts the search to the grid indices in
-	// [Lo, Hi). Ranking, pruning and filtering are unchanged — candidates
+	// [Lo, Hi). Ranking, pruning and constraints are unchanged — candidates
 	// keep their global grid indices — so the union of disjoint ranges
 	// covering the grid scores exactly the candidates of a full search, and
 	// merging per-range results with parallel.MergeTopK reproduces the full
@@ -32,26 +27,13 @@ type SearchOptions struct {
 	// error: it returns an empty Best, because a shard of a scorable grid
 	// can legitimately be barren.
 	Range *IndexRange
-	// Filter, when non-nil, restricts the search to candidates for which it
-	// returns true. The filter must be a pure function of the configuration:
-	// it runs concurrently from every worker and its verdict, like τ, must
-	// not depend on scheduling. Filtering composes soundly with pruning
-	// because both only remove candidates — a pruned subtree holds no
-	// candidate that could outrank an already-offered (filter-passing) one.
-	// The configuration passed in shares a per-worker buffer; the filter
-	// must not retain it. Prefer Constraints for the structured rules the
-	// serving layer uses — a closure forces every candidate to be decoded
-	// and visited, Constraints prune structurally.
-	Filter func(cfg cluster.Configuration) bool
 	// Constraints, when non-nil and non-zero, restrict the candidate set to
-	// configurations the equivalent FilterFunc closure accepts — but the
-	// walker enforces them structurally: disallowed (class, pair) choices
+	// the configurations Constraints.FilterFunc accepts. On the table path
+	// the walker enforces them structurally: disallowed (class, pair) choices
 	// zero their subtrees, the total-process cap prunes on prefix-P plus
 	// minimum suffix-P, and the per-PE memory bound excludes pairs and
-	// subtrees by exact corner bounds. Results are bit-identical to passing
-	// FilterFunc as Filter; Constraints and Filter compose (both must
-	// accept). On the per-candidate fallback path (no dense tables) the
-	// constraints run as their closure.
+	// subtrees by exact corner bounds. On the per-candidate fallback path (no
+	// dense tables) they run as the FilterFunc closure itself.
 	Constraints *Constraints
 }
 
@@ -65,7 +47,7 @@ type IndexRange struct {
 // SearchResult is the outcome of a streaming search.
 type SearchResult struct {
 	// Best holds the TopK best candidates, best first, ties broken toward
-	// the earlier enumeration position. Err is nil on every entry.
+	// the earlier enumeration position.
 	Best []Estimate
 	// BestIndex holds the global grid index of each Best entry. The
 	// (Tau, BestIndex) pairs are what a cross-process merge ranks on:
@@ -76,12 +58,12 @@ type SearchResult struct {
 	// all-unused configuration excluded); disjoint ranges covering the grid
 	// have Sizes summing to the full search's.
 	Size int64
-	// Scored counts candidates actually visited (including ones a Filter or
-	// a leaf-level scorability check rejected); Pruned counts candidates
-	// skipped wholesale — by the τ lower bounds or by structural constraint
-	// exclusion. Scored+Pruned == Size always; with pruning and multiple
-	// workers the split between the two depends on timing (the results
-	// never do).
+	// Scored counts candidates actually visited (including ones the
+	// fallback path's constraint closure or a leaf-level scorability check
+	// rejected); Pruned counts candidates skipped wholesale — by the τ lower
+	// bounds or by structural constraint exclusion. Scored+Pruned == Size
+	// always; with multiple workers the split between the two depends on
+	// timing (the results never do).
 	Scored, Pruned int64
 }
 
@@ -89,8 +71,7 @@ type SearchResult struct {
 // materializing the candidate slice: the space is compiled to a grid, the
 // model set to an evaluator, and grid indices are streamed through a
 // sharded search with deterministic lowest-index tie-breaking. The winner
-// is identical to Optimize over space.Enumerate(), at any worker count,
-// with pruning on or off.
+// is identical to Optimize over space.Enumerate(), at any worker count.
 func (ms *ModelSet) OptimizeSpace(space cluster.Space, n int, opts SearchOptions) (*SearchResult, error) {
 	grid, err := space.Compile()
 	if err != nil {
@@ -355,8 +336,8 @@ type seedScratch struct {
 // acceptance is untouched, and pruning stays a strict compare against a
 // value that upper-bounds the final k-th best (the k-th best of a candidate
 // subset), so the ranked results are bit-identical to an unseeded search.
-// Callers gate on the unrestricted candidate set — a range, filter or
-// constraint could exclude probes while keeping worse-τ candidates in its
+// Callers gate on the unrestricted candidate set — a range or constraint
+// could exclude probes while keeping worse-τ candidates in its
 // top K, turning the seed into an under-bound. With fewer than k scorable
 // probes the threshold stays +Inf.
 func seedThreshold(t *gridTables, s *seedScratch, k int, shared *parallel.SharedThreshold) {
@@ -526,135 +507,231 @@ func emptyIndex(grid *cluster.Grid) int64 {
 // Search streams every candidate of the grid through the evaluator and
 // returns the TopK best. See OptimizeSpace for the determinism contract.
 func (ev *Evaluator) Search(grid *cluster.Grid, opts SearchOptions) (*SearchResult, error) {
-	classes := grid.Classes()
-	if classes != ev.classes {
-		return nil, fmt.Errorf("%w: space has %d classes, model set has %d", ErrNoModel, classes, ev.classes)
-	}
-	k := opts.TopK
-	if k <= 0 {
-		k = 1
-	}
-	rlo, rhi := int64(0), grid.Size()
-	if opts.Range != nil {
-		if opts.Range.Lo < 0 || opts.Range.Hi < opts.Range.Lo || opts.Range.Hi > grid.Size() {
-			return nil, fmt.Errorf("%w: range [%d, %d) outside grid of %d candidates",
-				ErrNoModel, opts.Range.Lo, opts.Range.Hi, grid.Size())
-		}
-		rlo, rhi = opts.Range.Lo, opts.Range.Hi
-	}
-	if err := opts.Constraints.validate(classes); err != nil {
+	res, err := ev.search(grid, opts, &Reusable{}, opts.Workers)
+	if err != nil {
 		return nil, err
 	}
-	res := &SearchResult{Size: rhi - rlo}
+	return &res, nil
+}
+
+// SearchReuse is the sequential (Workers forced to 1) Search writing into
+// r's reused buffers: bit-identical Best/BestIndex/Size/Scored/Pruned to
+// Search with Workers: 1 and the same options. Steady-state calls with a
+// stable evaluator, grid, TopK and Constraints value allocate nothing (the
+// benchrun SearchKernel1M gate pins this).
+func (ev *Evaluator) SearchReuse(grid *cluster.Grid, opts SearchOptions, r *Reusable) (*SearchResult, error) {
+	res, err := ev.search(grid, opts, r, 1)
+	if err != nil {
+		return nil, err
+	}
+	r.res = res
+	return &r.res, nil
+}
+
+// Reusable holds the buffers of a search so repeated sequential searches
+// over one (evaluator, grid) pair allocate nothing after the first call:
+// the per-worker walkers with their top-K selections, the shared bound, the
+// compiled constraint plan, the seed scratch and the result backing arrays
+// are all recycled. The zero value is ready to use. Not safe for concurrent
+// use, and the returned result — including its Best configurations —
+// aliases the buffers, valid only until the next call.
+type Reusable struct {
+	// ev, grid and k key the walkers; cons is a value copy (never the
+	// caller's pointer, which may be mutated in place between calls) that
+	// keys plan alongside ev and grid — the plan's memory exclusions depend
+	// on the evaluator's problem size.
+	ev      *Evaluator
+	grid    *cluster.Grid
+	k       int
+	cons    Constraints
+	plan    *conPlan
+	shared  parallel.SharedThreshold
+	walkers []*walker
+	seed    seedScratch
+	sorted  []parallel.Candidate
+	best    []Estimate
+	bidx    []int64
+	use     []cluster.ClassUse
+	res     SearchResult
+}
+
+// search is the one search body behind Search and SearchReuse: range and
+// empty-configuration accounting, validation, table lookup, constraint plan,
+// threshold seed, walk (fanned out over ascending chunks when workers != 1),
+// merge and result assembly, all over r's buffers.
+func (ev *Evaluator) search(grid *cluster.Grid, opts SearchOptions, r *Reusable, workers int) (SearchResult, error) {
+	classes := grid.Classes()
+	if classes != ev.classes {
+		return SearchResult{}, fmt.Errorf("%w: space has %d classes, model set has %d", ErrNoModel, classes, ev.classes)
+	}
+	rlo, rhi := int64(0), grid.Size()
+	if rg := opts.Range; rg != nil {
+		if rg.Lo < 0 || rg.Hi < rg.Lo || rg.Hi > grid.Size() {
+			return SearchResult{}, fmt.Errorf("%w: range [%d, %d) outside grid of %d candidates",
+				ErrNoModel, rg.Lo, rg.Hi, grid.Size())
+		}
+		rlo, rhi = rg.Lo, rg.Hi
+	}
+	if err := opts.Constraints.validate(classes); err != nil {
+		return SearchResult{}, err
+	}
+	res := SearchResult{Size: rhi - rlo}
 	// The all-unused configuration is a grid point but not a candidate.
 	emptyIdx := emptyIndex(grid)
 	if emptyIdx >= 0 && rlo <= emptyIdx && emptyIdx < rhi {
 		res.Size--
 	}
 	if res.Size <= 0 {
-		if opts.Range != nil {
-			return res, nil // an empty shard of a larger grid is not an error
-		}
-		return nil, fmt.Errorf("%w: no scorable candidate among 0", ErrNoModel)
+		return barren(res, opts.Range != nil)
+	}
+	// A range of Size candidates has at most Size results, so the clamp is
+	// exact — and it keeps every k-sized buffer below bounded by the grid
+	// instead of by whatever the wire carried.
+	k := opts.TopK
+	if k <= 0 {
+		k = 1
+	}
+	if int64(k) > res.Size {
+		k = int(res.Size)
+	}
+	if r.ev != ev || r.grid != grid || r.k != k {
+		r.ev, r.grid, r.k, r.plan = ev, grid, k, nil
+		clear(r.walkers)
 	}
 
 	// A memory guard makes τ depend on the whole configuration, not just
-	// the (class, M, P) tables — guarded evaluators take the per-candidate
-	// path (which applies the guard) and never prune.
-	var tables *gridTables
+	// the (class, M, P) tables — guarded evaluators, like grids beyond
+	// maxGridTableP, take the per-candidate path: no tables, no bounds, the
+	// constraints as their defining closure.
+	job := searchJob{emptyIdx: emptyIdx}
 	if ev.guard == nil {
-		tables = ev.tables(grid)
+		job.t = ev.tables(grid)
 	}
-	prune := !opts.NoPrune && tables != nil
-	filter := opts.Filter
-	var plan *conPlan
 	if c := opts.Constraints; !c.zero() {
-		if tables != nil {
-			plan = c.compile(grid, tables, ev.n)
+		if job.t == nil {
+			job.pred = c.FilterFunc(ev.n, classes)
 		} else {
-			// No dense tables, no structural pruning: the constraints run as
-			// their defining closure, composed with any user filter.
-			filter = andFilter(c.FilterFunc(ev.n, classes), filter)
+			if r.plan == nil || !r.cons.equal(c) {
+				r.plan = c.compile(grid, job.t, ev.n)
+				r.cons = Constraints{
+					Classes:       append(r.cons.Classes[:0], c.Classes...),
+					MaxTotalProcs: c.MaxTotalProcs,
+					MaxBytesPerPE: c.MaxBytesPerPE,
+				}
+			}
+			job.cons = r.plan
 		}
+	}
+	r.shared.Reset()
+	if job.t != nil && job.cons == nil && rlo == 0 && rhi == grid.Size() {
+		seedThreshold(job.t, &r.seed, k, &r.shared)
 	}
 
 	span := rhi - rlo
-	maxW := span
-	if maxW > int64(1<<20) {
-		maxW = 1 << 20
+	nw := 1
+	if workers != 1 {
+		nw = parallel.Workers(workers, int(min(span, 1<<20)))
 	}
-	workers := parallel.Workers(opts.Workers, int(maxW))
-	// Aim for enough chunks per worker that pruning imbalance load-balances,
-	// without making chunk claiming the bottleneck.
-	chunk := span / int64(workers*64)
-	if chunk < 1024 {
-		chunk = 1024
+	for len(r.walkers) < nw {
+		r.walkers = append(r.walkers, nil)
 	}
-
-	walkers := make([]*walker, workers)
-	shared := parallel.NewSharedThreshold()
-	if prune && plan == nil && filter == nil && rlo == 0 && rhi == grid.Size() {
-		var seed seedScratch
-		seedThreshold(tables, &seed, k, shared)
-	}
-	parallel.Chunks(span, chunk, workers, func(wi int, lo, hi int64) {
-		lo += rlo
-		hi += rlo
-		w := walkers[wi]
-		if w == nil {
-			w = newWalker(ev, grid, tables, plan, filter, k, shared, emptyIdx, prune)
-			walkers[wi] = w
-		}
-		if tables != nil {
-			w.walk(lo, hi)
-		} else {
-			w.scanRange(lo, hi)
-		}
-	})
-
-	lists := make([][]parallel.Candidate, 0, workers)
-	for _, w := range walkers {
+	for _, w := range r.walkers {
 		if w != nil {
-			lists = append(lists, w.topk.Sorted())
-			res.Scored += w.scored
-			res.Pruned += w.pruned
+			w.reset(job)
 		}
 	}
-	merged := parallel.MergeTopK(k, lists)
-	if len(merged) == 0 {
-		if opts.Range != nil {
-			return res, nil // a barren shard of a scorable grid is not an error
-		}
-		return nil, fmt.Errorf("%w: no scorable candidate among %d", ErrNoModel, res.Size)
+	if nw == 1 {
+		r.walker(0, job).run(rlo, rhi)
+	} else {
+		// Aim for enough chunks per worker that pruning imbalance
+		// load-balances, without making chunk claiming the bottleneck.
+		chunk := max(span/int64(nw*64), 1024)
+		parallel.Chunks(span, chunk, nw, func(wi int, lo, hi int64) {
+			r.walker(wi, job).run(rlo+lo, rlo+hi)
+		})
 	}
-	res.Best = make([]Estimate, len(merged))
-	res.BestIndex = make([]int64, len(merged))
-	for i, c := range merged {
-		use := make([]cluster.ClassUse, classes)
+
+	// Merge: every other worker's selection is offered into the first one's.
+	// The (τ, index) ranking is a total order, so the k best of the union do
+	// not depend on which worker held what.
+	var top *parallel.TopK
+	for _, w := range r.walkers {
+		if w == nil {
+			continue
+		}
+		res.Scored += w.scored
+		res.Pruned += w.pruned
+		if top == nil {
+			top = w.topk
+			continue
+		}
+		r.sorted = w.topk.SortInto(r.sorted[:0])
+		for _, c := range r.sorted {
+			top.Offer(c.Index, c.Score)
+		}
+	}
+	r.sorted = top.SortInto(r.sorted[:0])
+	if len(r.sorted) == 0 {
+		return barren(res, opts.Range != nil)
+	}
+	if need := len(r.sorted) * classes; cap(r.use) < need {
+		r.use = make([]cluster.ClassUse, need)
+	}
+	r.best, r.bidx = r.best[:0], r.bidx[:0]
+	for i, c := range r.sorted {
+		use := r.use[i*classes : (i+1)*classes : (i+1)*classes]
 		grid.At(c.Index, use)
-		res.Best[i] = Estimate{Config: cluster.Configuration{Use: use}, Tau: c.Score}
-		res.BestIndex[i] = c.Index
+		r.best = append(r.best, Estimate{Config: cluster.Configuration{Use: use}, Tau: c.Score})
+		r.bidx = append(r.bidx, c.Index)
 	}
+	res.Best, res.BestIndex = r.best, r.bidx
 	return res, nil
+}
+
+// barren is the outcome of a search that ranked nothing: an empty answer for
+// a shard (a range of a scorable grid can legitimately hold no scorable
+// candidate), ErrNoModel for a whole grid.
+func barren(res SearchResult, ranged bool) (SearchResult, error) {
+	if ranged {
+		return res, nil
+	}
+	return SearchResult{}, fmt.Errorf("%w: no scorable candidate among %d", ErrNoModel, res.Size)
+}
+
+// walker returns worker wi's walker, building it on first use. Workers that
+// never claim a chunk never allocate one.
+func (r *Reusable) walker(wi int, job searchJob) *walker {
+	w := r.walkers[wi]
+	if w == nil {
+		w = newWalker(r.ev, r.grid, r.k, &r.shared)
+		w.reset(job)
+		r.walkers[wi] = w
+	}
+	return w
+}
+
+// searchJob is what one search hands every walker: the grid tables (nil on
+// the per-candidate fallback path), the compiled constraint plan the table
+// path enforces structurally, the constraint closure the fallback path calls
+// instead, and the grid index of the all-unused configuration (-1 if none).
+type searchJob struct {
+	t        *gridTables
+	cons     *conPlan
+	pred     func(cfg cluster.Configuration) bool
+	emptyIdx int64
 }
 
 // walker is one worker's reusable search kernel: the iterative odometer's
 // per-depth accumulators, the stack of contribution rows chosen so far, the
-// worker-private top-K selection, and the scratch configuration the
-// filter/fallback paths decode into. A walker is built once per worker and
-// reused across every chunk the worker claims, so the steady-state walk
-// allocates nothing.
+// worker-private top-K selection, and the scratch configuration the fallback
+// path decodes into. A walker is built once per worker and reused across
+// every chunk the worker claims, so the steady-state walk allocates nothing.
 type walker struct {
+	searchJob
 	ev     *Evaluator
 	grid   *cluster.Grid
-	t      *gridTables
-	cons   *conPlan
-	filter func(cfg cluster.Configuration) bool
 	topk   *parallel.TopK
 	shared *parallel.SharedThreshold
-
-	emptyIdx int64
-	prune    bool
 
 	// Per-depth odometer state (index d describes the subtree whose classes
 	// < d are fixed): digits[d] is the pair index being tried at depth d,
@@ -674,19 +751,15 @@ type walker struct {
 	// a node-entry colmin check wholesale-pruned the class's scorable pairs.
 	nlim []int
 	rows [][]float64
-	fuse cluster.Configuration // decode scratch; Use is nil when unneeded
+	cfg  cluster.Configuration // scanRange's decode scratch; Use is nil until needed
 
 	scored, pruned int64
 }
 
-func newWalker(ev *Evaluator, grid *cluster.Grid, t *gridTables, cons *conPlan,
-	filter func(cfg cluster.Configuration) bool, k int,
-	shared *parallel.SharedThreshold, emptyIdx int64, prune bool) *walker {
+func newWalker(ev *Evaluator, grid *cluster.Grid, k int, shared *parallel.SharedThreshold) *walker {
 	classes := grid.Classes()
-	w := &walker{
-		ev: ev, grid: grid, t: t, cons: cons, filter: filter,
-		topk: parallel.NewTopK(k), shared: shared,
-		emptyIdx: emptyIdx, prune: prune,
+	return &walker{
+		ev: ev, grid: grid, topk: parallel.NewTopK(k), shared: shared,
 		digits: make([]int, classes+1),
 		ibase:  make([]int64, classes+1),
 		prefP:  make([]int, classes+1),
@@ -696,10 +769,26 @@ func newWalker(ev *Evaluator, grid *cluster.Grid, t *gridTables, cons *conPlan,
 		nlim:   make([]int, classes+1),
 		rows:   make([][]float64, classes),
 	}
-	if filter != nil || t == nil {
-		w.fuse = cluster.Configuration{Use: make([]cluster.ClassUse, classes)}
+}
+
+// reset readies the walker for one search.
+func (w *walker) reset(job searchJob) {
+	w.searchJob = job
+	w.topk.Reset()
+	w.scored, w.pruned = 0, 0
+	if job.t == nil && w.cfg.Use == nil {
+		w.cfg.Use = make([]cluster.ClassUse, w.grid.Classes())
 	}
-	return w
+}
+
+// run searches the grid indices in [lo, hi): the pruned odometer walk over
+// the dense tables, or the per-candidate scan when the search has none.
+func (w *walker) run(lo, hi int64) {
+	if w.t != nil {
+		w.walk(lo, hi)
+	} else {
+		w.scanRange(lo, hi)
+	}
 }
 
 // walk streams the grid indices in [lo, hi) in ascending order: a flat
@@ -707,16 +796,15 @@ func newWalker(ev *Evaluator, grid *cluster.Grid, t *gridTables, cons *conPlan,
 // prefix max-M, running bound, pushed contribution rows) replace the
 // recursive walker's per-leaf re-summation. Subtrees are skipped wholesale
 // when disjoint from the range, structurally excluded by the constraints,
-// or — with pruning on — bounded strictly worse than the shared top-K
-// threshold. Every skip is exact: structural exclusions remove exactly the
+// or bounded strictly worse than the shared top-K threshold. Every skip is
+// exact: structural exclusions remove exactly the
 // candidates the constraint closure rejects (corner bounds are justified by
 // the weak monotonicity of IEEE division and multiplication, leaf checks
 // evaluate the closure's own float expressions), and bound pruning uses
 // strict compares against a threshold that is always an upper bound on the
 // global k-th best, so it can never drop a tie. The surviving (τ, index)
-// ranking — and therefore the merged result — is identical with pruning on
-// or off, constrained structurally or through the equivalent filter
-// closure, at any worker count.
+// ranking — and therefore the merged result — is the brute-force ranking of
+// the FilterFunc-accepted candidates, at any worker count.
 //
 //het:hotpath
 //het:allocfree
@@ -740,7 +828,7 @@ func (w *walker) walk(lo, hi int64) {
 	bnd[0] = math.Inf(-1)
 	nrows[0] = 0
 	nlim[0] = t.np[0]
-	if w.prune && pen > 0 {
+	if pen > 0 {
 		// Node-entry aggregate bound: if even the best scorable pair of the
 		// root class bounds every subtree out, only the zero pair's subtree
 		// is walked and the rest is skipped in one span. (When the root is
@@ -822,27 +910,22 @@ func (w *walker) walk(lo, hi int64) {
 				b = v
 			}
 		}
-		if w.prune {
-			// The remaining classes contribute at least sufLB no matter
-			// which pairs they choose, so the subtree's τ floor is the max
-			// of the prefix bound and the suffix bound.
-			eff := b
-			if v := t.sufLB[d+1]; v > eff {
-				eff = v
-			}
-			if eff > w.shared.Load() {
-				w.skipSpan(s, e, lo, hi)
-				digits[d]++
-				continue
-			}
+		// The remaining classes contribute at least sufLB no matter which
+		// pairs they choose, so the subtree's τ floor is the max of the
+		// prefix bound and the suffix bound.
+		eff := b
+		if v := t.sufLB[d+1]; v > eff {
+			eff = v
+		}
+		if eff > w.shared.Load() {
+			w.skipSpan(s, e, lo, hi)
+			digits[d]++
+			continue
 		}
 		nr := nrows[d]
 		if row := t.contrib[d][j]; row != nil {
 			w.rows[nr] = row
 			nr++
-		}
-		if w.fuse.Use != nil {
-			w.fuse.Use[d] = w.grid.Pairs(d)[j]
 		}
 		d++
 		digits[d] = 0
@@ -852,7 +935,7 @@ func (w *walker) walk(lo, hi int64) {
 		bnd[d] = b
 		nrows[d] = nr
 		nlim[d] = t.np[d]
-		if d != pen && w.prune {
+		if d != pen {
 			// Same node-entry aggregate bound for the child: one colmin
 			// compare covers all of its scorable pairs (tailRun does its own
 			// entry check for the penultimate class).
@@ -905,23 +988,20 @@ func (w *walker) tailRun(lo, hi int64) {
 	sufMinP := t.sufMinP[d+1]
 	sufMaxP := t.sufMaxP[d+1]
 	sufLB := t.sufLB[d+1]
-	prune := w.prune
-	if prune {
-		// Node-entry aggregate bound: one colmin compare covers all the
-		// class's scorable pairs; when it fires, only the zero pairs'
-		// subtrees remain to walk.
-		eff := b0
-		if v := t.colmin[d][pp+sufMinP]; v > eff {
-			eff = v
-		}
-		if sufLB > eff {
-			eff = sufLB
-		}
-		if eff > w.shared.Load() {
-			fnz := t.firstNZ[d]
-			w.skipSpan(base+int64(fnz)*stride, base+int64(np)*stride, lo, hi)
-			np = fnz
-		}
+	// Node-entry aggregate bound: one colmin compare covers all the class's
+	// scorable pairs; when it fires, only the zero pairs' subtrees remain to
+	// walk.
+	eff := b0
+	if v := t.colmin[d][pp+sufMinP]; v > eff {
+		eff = v
+	}
+	if sufLB > eff {
+		eff = sufLB
+	}
+	if eff > w.shared.Load() {
+		fnz := t.firstNZ[d]
+		w.skipSpan(base+int64(fnz)*stride, base+int64(np)*stride, lo, hi)
+		np = fnz
 	}
 	for j := 0; j < np; j++ {
 		s := base + int64(j)*stride
@@ -959,23 +1039,18 @@ func (w *walker) tailRun(lo, hi int64) {
 				b = v
 			}
 		}
-		if prune {
-			eff := b
-			if sufLB > eff {
-				eff = sufLB
-			}
-			if eff > w.shared.Load() {
-				w.skipSpan(s, e, lo, hi)
-				continue
-			}
+		eff := b
+		if sufLB > eff {
+			eff = sufLB
+		}
+		if eff > w.shared.Load() {
+			w.skipSpan(s, e, lo, hi)
+			continue
 		}
 		nr := nr0
 		if row := ctRow[j]; row != nil {
 			w.rows[nr] = row
 			nr++
-		}
-		if w.fuse.Use != nil {
-			w.fuse.Use[d] = w.grid.Pairs(d)[j]
 		}
 		w.leafRun(s, lo, hi, pp+pw, pm, b, nr)
 	}
@@ -1008,7 +1083,7 @@ func (w *walker) leafRun(base, lo, hi int64, pp, pm int, b0 float64, nr int) {
 		okRow = cons.pairOK[d]
 	}
 	rows := w.rows
-	if w.prune && j0 < j1 {
+	if j0 < j1 {
 		// Node-entry aggregate bound: at a leaf the reachable total P is
 		// exact, so colmin is the minimum over the class's scorable pairs of
 		// their exact contribution at their own P — one compare prunes the
@@ -1058,29 +1133,21 @@ pairLoop:
 				}
 			}
 		}
-		if w.prune {
-			// At a leaf P is exact, so the pair's own contribution row at p
-			// is the sharpest valid floor (NaN compares false and falls back
-			// to the prefix bound; the candidate is then scored and skipped
-			// by the NaN check below, exactly as without pruning).
-			b := b0
-			if row := ctRow[j]; row != nil {
-				if v := row[p]; v > b {
-					b = v
-				}
+		// At a leaf P is exact, so the pair's own contribution row at p is
+		// the sharpest valid floor (NaN compares false and falls back to the
+		// prefix bound; the candidate is then scored and skipped by the NaN
+		// check below).
+		b := b0
+		if row := ctRow[j]; row != nil {
+			if v := row[p]; v > b {
+				b = v
 			}
-			if b > w.shared.Load() {
-				w.pruned++
-				continue
-			}
+		}
+		if b > w.shared.Load() {
+			w.pruned++
+			continue
 		}
 		w.scored++
-		if w.filter != nil {
-			w.fuse.Use[d] = w.grid.Pairs(d)[j]
-			if !w.filter(w.fuse) {
-				continue
-			}
-		}
 		tau := math.Inf(-1)
 		for r := 0; r < nr; r++ {
 			v := rows[r][p]
@@ -1124,157 +1191,25 @@ func (w *walker) skipSpan(s, e, lo, hi int64) {
 
 // scanRange is the per-candidate fallback for grids without dense tables
 // (memory-guarded evaluators, or total P beyond maxGridTableP): decode each
-// index, filter, score through the compiled formulas. No pruning bounds.
+// index, apply the constraint closure, score through the compiled formulas.
+// No pruning bounds.
 //
 //het:hotpath
 func (w *walker) scanRange(lo, hi int64) {
-	use := w.fuse.Use
+	use := w.cfg.Use
 	for idx := lo; idx < hi; idx++ {
 		if idx == w.emptyIdx {
 			continue
 		}
 		w.grid.At(idx, use)
 		w.scored++
-		if w.filter != nil && !w.filter(w.fuse) {
+		if w.pred != nil && !w.pred(w.cfg) {
 			continue
 		}
-		if tau, ok := w.ev.Tau(w.fuse); ok {
+		if tau, ok := w.ev.Tau(w.cfg); ok {
 			if w.topk.Offer(idx, tau) {
 				w.shared.Update(w.topk.Threshold())
 			}
 		}
 	}
-}
-
-// Reusable holds the buffers of a sequential search so repeated searches
-// over one (evaluator, grid) pair allocate nothing after the first call:
-// the walker scratch, the top-K selection, the shared bound and the result
-// backing arrays are all recycled. The zero value is ready to use. Not safe
-// for concurrent use, and the returned result — including its Best
-// configurations — aliases the buffers, valid only until the next call.
-type Reusable struct {
-	w      *walker
-	grid   *cluster.Grid
-	ev     *Evaluator
-	shared *parallel.SharedThreshold
-	cons   *Constraints
-	plan   *conPlan
-	seed   seedScratch
-	sorted []parallel.Candidate
-	best   []Estimate
-	bidx   []int64
-	use    []cluster.ClassUse
-	res    SearchResult
-}
-
-// SearchReuse is the sequential (Workers forced to 1) Search writing into
-// r's reused buffers: same validation, same candidate set, bit-identical
-// Best/BestIndex/Size/Scored/Pruned to Search with Workers: 1 and the same
-// options. Steady-state calls with a stable grid, TopK and Constraints
-// pointer allocate nothing (the benchrun SearchKernel1M gate pins this).
-func (ev *Evaluator) SearchReuse(grid *cluster.Grid, opts SearchOptions, r *Reusable) (*SearchResult, error) {
-	classes := grid.Classes()
-	if classes != ev.classes {
-		return nil, fmt.Errorf("%w: space has %d classes, model set has %d", ErrNoModel, classes, ev.classes)
-	}
-	k := opts.TopK
-	if k <= 0 {
-		k = 1
-	}
-	rlo, rhi := int64(0), grid.Size()
-	if opts.Range != nil {
-		if opts.Range.Lo < 0 || opts.Range.Hi < opts.Range.Lo || opts.Range.Hi > grid.Size() {
-			return nil, fmt.Errorf("%w: range [%d, %d) outside grid of %d candidates",
-				ErrNoModel, opts.Range.Lo, opts.Range.Hi, grid.Size())
-		}
-		rlo, rhi = opts.Range.Lo, opts.Range.Hi
-	}
-	if err := opts.Constraints.validate(classes); err != nil {
-		return nil, err
-	}
-	size := rhi - rlo
-	emptyIdx := emptyIndex(grid)
-	if emptyIdx >= 0 && rlo <= emptyIdx && emptyIdx < rhi {
-		size--
-	}
-	if size <= 0 {
-		if opts.Range != nil {
-			r.best, r.bidx = r.best[:0], r.bidx[:0]
-			return r.result(size, 0, 0), nil
-		}
-		return nil, fmt.Errorf("%w: no scorable candidate among 0", ErrNoModel)
-	}
-	var tables *gridTables
-	if ev.guard == nil {
-		tables = ev.tables(grid)
-	}
-	prune := !opts.NoPrune && tables != nil
-	filter := opts.Filter
-	var plan *conPlan
-	if c := opts.Constraints; !c.zero() {
-		if tables != nil {
-			// The plan's memory exclusions depend on the problem size, so the
-			// cache key includes the evaluator alongside constraints and grid.
-			if c == r.cons && grid == r.grid && ev == r.ev {
-				plan = r.plan
-			} else {
-				plan = c.compile(grid, tables, ev.n)
-			}
-		} else {
-			filter = andFilter(c.FilterFunc(ev.n, classes), filter)
-		}
-	}
-	r.cons, r.plan = opts.Constraints, plan
-
-	if r.shared == nil {
-		r.shared = parallel.NewSharedThreshold()
-	} else {
-		r.shared.Reset()
-	}
-	w := r.w
-	if w == nil || r.grid != grid || r.ev != ev || w.topk.K() != k {
-		w = newWalker(ev, grid, tables, plan, filter, k, r.shared, emptyIdx, prune)
-		r.w, r.grid, r.ev = w, grid, ev
-	} else {
-		w.t, w.cons, w.filter, w.emptyIdx, w.prune = tables, plan, filter, emptyIdx, prune
-		if w.fuse.Use == nil && (filter != nil || tables == nil) {
-			w.fuse = cluster.Configuration{Use: make([]cluster.ClassUse, classes)}
-		}
-		w.topk.Reset()
-		w.scored, w.pruned = 0, 0
-	}
-	if prune && plan == nil && filter == nil && rlo == 0 && rhi == grid.Size() {
-		seedThreshold(tables, &r.seed, k, r.shared)
-	}
-	if tables != nil {
-		w.walk(rlo, rhi)
-	} else {
-		w.scanRange(rlo, rhi)
-	}
-
-	r.sorted = w.topk.SortInto(r.sorted[:0])
-	if len(r.sorted) == 0 {
-		if opts.Range != nil {
-			r.best, r.bidx = r.best[:0], r.bidx[:0]
-			return r.result(size, w.scored, w.pruned), nil
-		}
-		return nil, fmt.Errorf("%w: no scorable candidate among %d", ErrNoModel, size)
-	}
-	if need := len(r.sorted) * classes; cap(r.use) < need {
-		r.use = make([]cluster.ClassUse, need)
-	}
-	r.best, r.bidx = r.best[:0], r.bidx[:0]
-	for i, c := range r.sorted {
-		use := r.use[i*classes : (i+1)*classes : (i+1)*classes]
-		grid.At(c.Index, use)
-		r.best = append(r.best, Estimate{Config: cluster.Configuration{Use: use}, Tau: c.Score})
-		r.bidx = append(r.bidx, c.Index)
-	}
-	return r.result(size, w.scored, w.pruned), nil
-}
-
-// result assembles the reused SearchResult view over r's buffers.
-func (r *Reusable) result(size, scored, pruned int64) *SearchResult {
-	r.res = SearchResult{Best: r.best, BestIndex: r.bidx, Size: size, Scored: scored, Pruned: pruned}
-	return &r.res
 }

@@ -49,7 +49,7 @@ func groundTruthTopK(t *testing.T, ms *ModelSet, space cluster.Space, n float64,
 // TestOptimizeSpaceMatchesExhaustive is the tentpole equivalence property:
 // the streaming search returns the identical ranked winners as the
 // enumerate-then-sort reference — over the paper space and randomized
-// spaces, at any worker count, top-K 1 and 3, pruning on and off.
+// spaces, at any worker count, top-K 1 and 3.
 func TestOptimizeSpaceMatchesExhaustive(t *testing.T) {
 	ms := richWorld(t, nil)
 	for si, space := range evalSpaces() {
@@ -57,27 +57,25 @@ func TestOptimizeSpaceMatchesExhaustive(t *testing.T) {
 			for _, k := range []int{1, 3} {
 				want := groundTruthTopK(t, ms, space, float64(n), k)
 				for _, workers := range []int{1, 2, 7, 0} {
-					for _, noprune := range []bool{false, true} {
-						res, err := ms.OptimizeSpace(space, n, SearchOptions{Workers: workers, TopK: k, NoPrune: noprune})
-						if len(want) == 0 {
-							if err == nil {
-								t.Fatalf("space %d n=%d: search found %v, reference found nothing", si, n, res.Best)
-							}
-							continue
+					res, err := ms.OptimizeSpace(space, n, SearchOptions{Workers: workers, TopK: k})
+					if len(want) == 0 {
+						if err == nil {
+							t.Fatalf("space %d n=%d: search found %v, reference found nothing", si, n, res.Best)
 						}
-						if err != nil {
-							t.Fatalf("space %d n=%d k=%d w=%d noprune=%v: %v", si, n, k, workers, noprune, err)
-						}
-						if len(res.Best) != len(want) {
-							t.Fatalf("space %d n=%d k=%d w=%d noprune=%v: %d results, want %d",
-								si, n, k, workers, noprune, len(res.Best), len(want))
-						}
-						for i := range want {
-							if res.Best[i].Tau != want[i].Tau || res.Best[i].Config.Key() != want[i].Config.Key() {
-								t.Fatalf("space %d n=%d k=%d w=%d noprune=%v rank %d: got %s (%v), want %s (%v)",
-									si, n, k, workers, noprune, i,
-									res.Best[i].Config, res.Best[i].Tau, want[i].Config, want[i].Tau)
-							}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("space %d n=%d k=%d w=%d: %v", si, n, k, workers, err)
+					}
+					if len(res.Best) != len(want) {
+						t.Fatalf("space %d n=%d k=%d w=%d: %d results, want %d",
+							si, n, k, workers, len(res.Best), len(want))
+					}
+					for i := range want {
+						if res.Best[i].Tau != want[i].Tau || res.Best[i].Config.Key() != want[i].Config.Key() {
+							t.Fatalf("space %d n=%d k=%d w=%d rank %d: got %s (%v), want %s (%v)",
+								si, n, k, workers, i,
+								res.Best[i].Config, res.Best[i].Tau, want[i].Config, want[i].Tau)
 						}
 					}
 				}
@@ -86,17 +84,18 @@ func TestOptimizeSpaceMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestSearchAccounting checks Size/Scored/Pruned bookkeeping: an unpruned
-// search visits everything, a pruned one visits no more, and both agree on
-// the space size.
+// TestSearchAccounting checks Size/Scored/Pruned bookkeeping: the
+// per-candidate fallback path (here via a memory guard) has no bounds and
+// visits everything, the pruned table path visits no more, and both agree
+// on the space size.
 func TestSearchAccounting(t *testing.T) {
-	ms := richWorld(t, nil)
 	space := cluster.PaperEvaluationSpace()
 	cfgs, err := space.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := ms.OptimizeSpace(space, 6400, SearchOptions{Workers: 1, NoPrune: true})
+	noop := func(cluster.Configuration, float64) float64 { return 1 }
+	full, err := richWorld(t, noop).OptimizeSpace(space, 6400, SearchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,15 +105,19 @@ func TestSearchAccounting(t *testing.T) {
 	if full.Scored != full.Size || full.Pruned != 0 {
 		t.Fatalf("unpruned search scored %d / pruned %d of %d", full.Scored, full.Pruned, full.Size)
 	}
-	pruned, err := ms.OptimizeSpace(space, 6400, SearchOptions{Workers: 1})
+	pruned, err := richWorld(t, nil).OptimizeSpace(space, 6400, SearchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pruned.Scored+pruned.Pruned != pruned.Size {
-		t.Fatalf("pruned search accounts %d+%d of %d", pruned.Scored, pruned.Pruned, pruned.Size)
+	if pruned.Size != full.Size || pruned.Scored+pruned.Pruned != pruned.Size {
+		t.Fatalf("pruned search accounts %d+%d of %d (fallback size %d)", pruned.Scored, pruned.Pruned, pruned.Size, full.Size)
 	}
-	if pruned.Scored > full.Scored {
-		t.Fatalf("pruning increased work: %d > %d", pruned.Scored, full.Scored)
+	if pruned.Pruned == 0 || pruned.Scored > full.Scored {
+		t.Fatalf("pruning skipped %d and scored %d of %d", pruned.Pruned, pruned.Scored, full.Scored)
+	}
+	if pruned.Best[0].Tau != full.Best[0].Tau || pruned.BestIndex[0] != full.BestIndex[0] {
+		t.Fatalf("paths disagree on the winner: (%d, %v) vs (%d, %v)",
+			pruned.BestIndex[0], pruned.Best[0].Tau, full.BestIndex[0], full.Best[0].Tau)
 	}
 }
 

@@ -120,13 +120,14 @@ func v1Offers(grid *cluster.Grid, t *gridTables, lo, hi, emptyIdx int64,
 
 // TestKernelOffersBitIdenticalToV1 is the replacement proof: over the paper
 // grid, randomized grids and the tie-heavy grid — full range and random
-// sub-ranges, with and without a filter — an unpruned v2 search returning
-// every candidate (TopK = Size) reproduces the v1 walker's offer stream bit
-// for bit: same indices, same Float64bits of every τ, same scored count.
+// sub-ranges — a v2 search returning every candidate (TopK = Size, under
+// which the top-K threshold stays +Inf until the last offer, so no bound can
+// fire) reproduces the unpruned v1 walker's offer stream bit for bit: same
+// indices, same Float64bits of every τ, same scored count. Constraints ride
+// the same oracle in TestKernelConstraintsRangeMatchesV1.
 func TestKernelOffersBitIdenticalToV1(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	worlds := map[string]*ModelSet{"rich": richWorld(t, nil), "ties": tieWorld(t)}
-	serveFilter := (&Constraints{MaxTotalProcs: 9}).FilterFunc(6400, 2)
 	for name, ms := range worlds {
 		for si, space := range evalSpaces() {
 			grid, err := space.Compile()
@@ -149,38 +150,34 @@ func TestKernelOffersBitIdenticalToV1(t *testing.T) {
 					hi := lo + rng.Int63n(grid.Size()+1-lo)
 					ranges = append(ranges, IndexRange{Lo: lo, Hi: hi})
 				}
-				for _, filter := range []func(cluster.Configuration) bool{nil, serveFilter} {
-					for _, rr := range ranges {
-						rr := rr
-						want, wantScored := v1Offers(grid, tbl, rr.Lo, rr.Hi, emptyIdx, filter)
-						k := int(grid.Size()) // >= count of scorable candidates
-						got, err := ev.Search(grid, SearchOptions{
-							Workers: 1, TopK: k, NoPrune: true, Range: &rr, Filter: filter,
-						})
-						if err != nil {
-							if len(want) == 0 {
-								continue // both agree: nothing scorable
-							}
-							t.Fatalf("%s space %d n=%v [%d,%d): v2 failed (%v), v1 offered %d",
-								name, si, n, rr.Lo, rr.Hi, err, len(want))
+				for _, rr := range ranges {
+					rr := rr
+					want, wantScored := v1Offers(grid, tbl, rr.Lo, rr.Hi, emptyIdx, nil)
+					k := int(grid.Size()) // >= count of scorable candidates
+					got, err := ev.Search(grid, SearchOptions{Workers: 1, TopK: k, Range: &rr})
+					if err != nil {
+						if len(want) == 0 {
+							continue // both agree: nothing scorable
 						}
-						if len(got.Best) != len(want) {
-							t.Fatalf("%s space %d n=%v [%d,%d): v2 offered %d candidates, v1 %d",
-								name, si, n, rr.Lo, rr.Hi, len(got.Best), len(want))
+						t.Fatalf("%s space %d n=%v [%d,%d): v2 failed (%v), v1 offered %d",
+							name, si, n, rr.Lo, rr.Hi, err, len(want))
+					}
+					if len(got.Best) != len(want) {
+						t.Fatalf("%s space %d n=%v [%d,%d): v2 offered %d candidates, v1 %d",
+							name, si, n, rr.Lo, rr.Hi, len(got.Best), len(want))
+					}
+					for i := range want {
+						if got.BestIndex[i] != want[i].Index ||
+							math.Float64bits(got.Best[i].Tau) != math.Float64bits(want[i].Score) {
+							t.Fatalf("%s space %d n=%v [%d,%d) rank %d: v2 (%d, %x) vs v1 (%d, %x)",
+								name, si, n, rr.Lo, rr.Hi, i,
+								got.BestIndex[i], math.Float64bits(got.Best[i].Tau),
+								want[i].Index, math.Float64bits(want[i].Score))
 						}
-						for i := range want {
-							if got.BestIndex[i] != want[i].Index ||
-								math.Float64bits(got.Best[i].Tau) != math.Float64bits(want[i].Score) {
-								t.Fatalf("%s space %d n=%v [%d,%d) rank %d: v2 (%d, %x) vs v1 (%d, %x)",
-									name, si, n, rr.Lo, rr.Hi, i,
-									got.BestIndex[i], math.Float64bits(got.Best[i].Tau),
-									want[i].Index, math.Float64bits(want[i].Score))
-							}
-						}
-						if got.Scored != wantScored {
-							t.Fatalf("%s space %d n=%v [%d,%d): v2 scored %d, v1 %d (both unpruned)",
-								name, si, n, rr.Lo, rr.Hi, got.Scored, wantScored)
-						}
+					}
+					if got.Scored != wantScored {
+						t.Fatalf("%s space %d n=%v [%d,%d): v2 scored %d, v1 %d (neither pruned)",
+							name, si, n, rr.Lo, rr.Hi, got.Scored, wantScored)
 					}
 				}
 			}
@@ -293,8 +290,7 @@ func TestKernelConstraintsRangeMatchesV1(t *testing.T) {
 					rr := rr
 					want, _ := v1Offers(grid, tbl, rr.Lo, rr.Hi, emptyIdx, filter)
 					got, err := ev.Search(grid, SearchOptions{
-						Workers: 1, TopK: int(grid.Size()), NoPrune: true,
-						Range: &rr, Constraints: cons,
+						Workers: 1, TopK: int(grid.Size()), Range: &rr, Constraints: cons,
 					})
 					if err != nil {
 						if len(want) == 0 {

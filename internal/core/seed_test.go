@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -108,42 +109,20 @@ func TestSeedThresholdDedupAndUpperBound(t *testing.T) {
 	}
 }
 
-// TestSeededSearchBitIdenticalToNoPrune runs the production path the seed
-// accelerates — default pruned Search, where the gate in Search enables
-// seeding (full range, no filter, no constraints) — against an unseeded,
-// unpruned baseline on the duplicate-τ grids, across k and worker counts.
-// Rankings must match bit for bit: the seed may only skip candidates that
-// rank strictly after k others, never a tie.
-func TestSeededSearchBitIdenticalToNoPrune(t *testing.T) {
+// TestSeededSearchBitIdenticalToBruteForce runs the path the seed
+// accelerates — Search over the full range with no constraints, where the
+// gate in search enables seeding — against the unseeded, unpruned brute-force
+// ranking on the duplicate-τ grids, across k and worker counts. Rankings must
+// match bit for bit: the seed may only skip candidates that rank strictly
+// after k others, never a tie.
+func TestSeededSearchBitIdenticalToBruteForce(t *testing.T) {
 	for _, tc := range seedCases(t) {
 		ev := tc.ms.Compile(2400)
 		for _, k := range []int{1, 4, 16} {
-			base, err := ev.Search(tc.grid, SearchOptions{Workers: 1, TopK: k, NoPrune: true})
-			if err != nil {
-				t.Fatalf("%s k=%d: baseline: %v", tc.name, k, err)
-			}
+			want, size := bruteForce(ev, tc.grid, nil, nil, k)
 			for _, workers := range []int{1, 2, 8} {
 				got, err := ev.Search(tc.grid, SearchOptions{Workers: workers, TopK: k})
-				if err != nil {
-					t.Fatalf("%s k=%d w=%d: %v", tc.name, k, workers, err)
-				}
-				if len(got.Best) != len(base.Best) {
-					t.Fatalf("%s k=%d w=%d: seeded search returned %d candidates, baseline %d",
-						tc.name, k, workers, len(got.Best), len(base.Best))
-				}
-				for i := range base.Best {
-					if got.BestIndex[i] != base.BestIndex[i] ||
-						math.Float64bits(got.Best[i].Tau) != math.Float64bits(base.Best[i].Tau) {
-						t.Fatalf("%s k=%d w=%d rank %d: seeded (%d, %x) vs baseline (%d, %x)",
-							tc.name, k, workers, i,
-							got.BestIndex[i], math.Float64bits(got.Best[i].Tau),
-							base.BestIndex[i], math.Float64bits(base.Best[i].Tau))
-					}
-				}
-				if got.Size != base.Size || got.Scored+got.Pruned != got.Size {
-					t.Fatalf("%s k=%d w=%d: accounting %d+%d vs size %d (baseline size %d)",
-						tc.name, k, workers, got.Scored, got.Pruned, got.Size, base.Size)
-				}
+				checkAgainst(t, fmt.Sprintf("%s k=%d w=%d", tc.name, k, workers), tc.grid, got, err, want, size, false)
 			}
 		}
 	}

@@ -170,7 +170,7 @@ func (c *Context) EvaluationTable(bm *BuiltModel) (*EvalTable, error) {
 	candidates := EvalConfigs()
 	t := &EvalTable{Model: bm.Campaign.Name}
 	for _, n := range measure.EvaluationNs(bm.Campaign.Name) {
-		est, tau, err := bm.EvaluatorAt(n).Optimize(candidates, c.Workers)
+		est, tau, err := bm.EvaluatorAt(n).Optimize(candidates)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: optimize %s N=%d: %w", bm.Campaign.Name, n, err)
 		}

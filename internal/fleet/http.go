@@ -41,8 +41,10 @@ func (r *Router) Handler() http.Handler {
 }
 
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request, defaultK int) {
-	var q serve.QueryRequest
-	if err := decodeInto(req, &q); err != nil {
+	// The member's own decoder (JSON body on POST, URL parameters on GET),
+	// so router and members cannot drift apart on parameter names or limits.
+	q, err := serve.DecodeQueryParams(req)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -137,31 +139,6 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, r.Stats(req.Context()))
-}
-
-// decodeInto accepts the member query encodings: JSON body on POST, URL
-// parameters on GET (delegated to a synthetic request so the router and the
-// members cannot drift apart on parameter names).
-func decodeInto(req *http.Request, q *serve.QueryRequest) error {
-	switch req.Method {
-	case http.MethodPost:
-		if err := json.NewDecoder(req.Body).Decode(q); err != nil {
-			return fmt.Errorf("bad query request: %v", err)
-		}
-		if q.N <= 0 {
-			return fmt.Errorf("problem size n=%d, want > 0", q.N)
-		}
-		return nil
-	case http.MethodGet:
-		parsed, err := serve.DecodeQueryParams(req)
-		if err != nil {
-			return err
-		}
-		*q = parsed
-		return nil
-	default:
-		return fmt.Errorf("method %s not allowed", req.Method)
-	}
 }
 
 // fleetStatus maps fleet errors onto HTTP statuses: no members is an

@@ -90,6 +90,30 @@ func TestHTTPRouterSurface(t *testing.T) {
 		t.Error("router accepted an externally sharded query")
 	}
 
+	// A K beyond the members' cap is refused at the router, over GET and
+	// POST, before any scatter — so no member sees (and is marked unhealthy
+	// for refusing) the request.
+	resp, err = http.Get(router.URL + "/v1/topk?n=2400&topk=1099511627776")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("GET oversized topk: status %d, want 400", resp.StatusCode)
+	}
+	resp, err = http.Post(router.URL+"/v1/topk", "application/json", strings.NewReader(`{"n":2400,"topk":1099511627776}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST oversized topk: status %d, want 400", resp.StatusCode)
+	}
+	getInto(t, router.URL+"/v1/healthz", http.StatusOK, &hz)
+	if hz.Healthy != 2 {
+		t.Errorf("oversized topk cost the fleet members: healthy = %d, want 2", hz.Healthy)
+	}
+
 	// Refit without -refit-auth is closed.
 	resp, err = http.Post(router.URL+"/v1/refit", "application/json", strings.NewReader(`{}`))
 	if err != nil {

@@ -3,6 +3,7 @@ package measure
 import (
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"hetmodel/internal/chol"
@@ -155,18 +156,18 @@ func TestCampaignCostDeterministic(t *testing.T) {
 
 func TestCampaignCustomRunner(t *testing.T) {
 	cl := paperCluster(t)
-	calls := 0
+	var calls atomic.Int64 // Run fans the runner out over campaign workers
 	camp := tinyCampaign()
 	camp.Runner = func(c *cluster.Cluster, cfg cluster.Configuration, p hpl.Params) (*hpl.Result, error) {
-		calls++
+		calls.Add(1)
 		return hpl.Run(c, cfg, p)
 	}
 	res, err := Run(cl, camp, hpl.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != res.Runs || calls == 0 {
-		t.Fatalf("runner called %d times for %d runs", calls, res.Runs)
+	if n := int(calls.Load()); n != res.Runs || n == 0 {
+		t.Fatalf("runner called %d times for %d runs", n, res.Runs)
 	}
 }
 

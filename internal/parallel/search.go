@@ -2,19 +2,20 @@ package parallel
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 // This file holds the sharded streaming-search primitives: ascending chunk
 // claiming over an int64 index range, per-worker top-K selection with a
-// deterministic (score, index) order, and an atomic shared minimum for
+// deterministic (score, index) order, and an atomic shared threshold for
 // cross-worker pruning bounds. The determinism contract matches ForEach:
 // the merged result of a search is a pure function of the scores, not of
 // goroutine scheduling, because candidates are ranked by (score, index) —
-// a total order — and pruning (done by callers against Threshold/SharedMin)
-// may only discard candidates that rank strictly worse than any result.
+// a total order — and pruning (done by callers against Threshold and
+// SharedThreshold) may only discard candidates that rank strictly worse
+// than any result.
 
 // Candidate couples a score with the index that produced it; the index is
 // the deterministic tie-break.
@@ -97,30 +98,25 @@ func (t *TopK) Threshold() float64 {
 
 // Sorted returns the held candidates best-first.
 func (t *TopK) Sorted() []Candidate {
-	out := append([]Candidate(nil), t.h...)
-	sort.Slice(out, func(i, j int) bool { return out[j].ranksAfter(out[i]) })
-	return out
+	return t.SortInto(nil)
 }
 
 // SortInto appends the held candidates best-first to dst and returns the
-// extended slice. Unlike Sorted it allocates only when dst must grow, so
-// buffer-reusing callers extract results allocation-free; the insertion
-// sort is O(k²) with the small k a selection is built for. The (score,
-// index) ranking is a total order over distinct candidates, so the output
-// order matches Sorted exactly.
+// extended slice; it allocates only when dst must grow, so buffer-reusing
+// callers extract results allocation-free. The (score, index) ranking is a
+// total order over distinct candidates, so the output is unique.
 func (t *TopK) SortInto(dst []Candidate) []Candidate {
 	start := len(dst)
 	dst = append(dst, t.h...)
-	out := dst[start:]
-	for i := 1; i < len(out); i++ {
-		c := out[i]
-		j := i - 1
-		for j >= 0 && out[j].ranksAfter(c) {
-			out[j+1] = out[j]
-			j--
+	slices.SortFunc(dst[start:], func(a, b Candidate) int {
+		switch {
+		case a.ranksAfter(b):
+			return 1
+		case b.ranksAfter(a):
+			return -1
 		}
-		out[j+1] = c
-	}
+		return 0
+	})
 	return dst
 }
 
@@ -186,57 +182,47 @@ func MergeTopK(k int, lists [][]Candidate) []Candidate {
 	return merged.Sorted()
 }
 
-// SharedMin is an atomic, monotonically decreasing float64, used as the
-// cross-worker incumbent bound of a pruned search. NewSharedMin starts it
-// at +Inf.
-type SharedMin struct{ bits atomic.Uint64 }
+// SharedThreshold is the cross-worker pruning bound of a sharded top-K
+// search: an atomic, monotonically decreasing float64 holding the minimum
+// over the per-worker k-th-best thresholds the workers publish after each
+// accepted offer. Load is an upper bound on the global k-th best score —
+// some single worker already holds k candidates at or below it — so a
+// subtree whose τ lower bound is strictly greater than Load holds only
+// candidates that rank strictly after at least k others globally and can
+// never enter the merged top-K. Strict-compare pruning against it is
+// therefore result-identical at any worker count; with k == 1 it is the
+// plain incumbent bound. Publishing +Inf (a worker holding fewer than k
+// candidates) never lowers the bound, and per-worker thresholds are monotone
+// non-increasing, so the bound only tightens. The zero value holds 0, not
+// +Inf: start from NewSharedThreshold or call Reset first.
+type SharedThreshold struct{ bits atomic.Uint64 }
 
-// NewSharedMin returns a shared minimum initialized to +Inf.
-func NewSharedMin() *SharedMin {
-	m := &SharedMin{}
-	m.bits.Store(math.Float64bits(math.Inf(1)))
-	return m
+// NewSharedThreshold returns a shared top-K threshold initialized to +Inf.
+func NewSharedThreshold() *SharedThreshold {
+	t := &SharedThreshold{}
+	t.Reset()
+	return t
 }
 
-// Load returns the current minimum.
-func (m *SharedMin) Load() float64 { return math.Float64frombits(m.bits.Load()) }
+// Load returns the current bound.
+func (t *SharedThreshold) Load() float64 { return math.Float64frombits(t.bits.Load()) }
 
-// Update lowers the minimum to v if v is smaller. NaN is ignored.
-func (m *SharedMin) Update(v float64) {
+// Update lowers the bound to v if v is smaller. NaN is ignored.
+func (t *SharedThreshold) Update(v float64) {
 	for {
-		old := m.bits.Load()
+		old := t.bits.Load()
 		if !(v < math.Float64frombits(old)) {
 			return
 		}
-		if m.bits.CompareAndSwap(old, math.Float64bits(v)) {
+		if t.bits.CompareAndSwap(old, math.Float64bits(v)) {
 			return
 		}
 	}
 }
 
-// Reset returns the bound to +Inf, so buffer-reusing sequential searches can
-// recycle one instance. Never call it while workers still publish.
-func (m *SharedMin) Reset() { m.bits.Store(math.Float64bits(math.Inf(1))) }
-
-// SharedThreshold is the cross-worker pruning bound of a sharded top-K
-// search: an atomic minimum over the per-worker k-th-best thresholds the
-// workers publish after each accepted offer. Load is an upper bound on the
-// global k-th best score — some single worker already holds k candidates at
-// or below it — so a subtree whose τ lower bound is strictly greater than
-// Load holds only candidates that rank strictly after at least k others
-// globally and can never enter the merged top-K. Strict-compare pruning
-// against it is therefore result-identical at any worker count; with k == 1
-// it degenerates to SharedMin's incumbent bound. Publishing +Inf (a worker
-// holding fewer than k candidates) never lowers the bound, and per-worker
-// thresholds are monotone non-increasing, so the bound only tightens.
-type SharedThreshold struct{ SharedMin }
-
-// NewSharedThreshold returns a shared top-K threshold initialized to +Inf.
-func NewSharedThreshold() *SharedThreshold {
-	t := &SharedThreshold{}
-	t.bits.Store(math.Float64bits(math.Inf(1)))
-	return t
-}
+// Reset returns the bound to +Inf, so buffer-reusing searches can recycle
+// one instance. Never call it while workers still publish.
+func (t *SharedThreshold) Reset() { t.bits.Store(math.Float64bits(math.Inf(1))) }
 
 // Chunks runs fn over ascending chunks of [0, n) on up to `workers`
 // goroutines (<= 0 selects GOMAXPROCS, 1 runs fn(0, 0, n) inline). Chunks

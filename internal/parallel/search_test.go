@@ -98,34 +98,6 @@ func TestMergeTopKMatchesGlobalSort(t *testing.T) {
 	}
 }
 
-func TestSharedMin(t *testing.T) {
-	m := NewSharedMin()
-	if !math.IsInf(m.Load(), 1) {
-		t.Fatal("fresh SharedMin must be +Inf")
-	}
-	m.Update(5)
-	m.Update(9)          // larger: ignored
-	m.Update(math.NaN()) // NaN: ignored
-	if m.Load() != 5 {
-		t.Fatalf("Load() = %v, want 5", m.Load())
-	}
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			for i := 0; i < 1000; i++ {
-				m.Update(float64(g*1000+i) / 1e6)
-			}
-			done <- struct{}{}
-		}(g)
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if m.Load() != 0 {
-		t.Fatalf("concurrent min = %v, want 0", m.Load())
-	}
-}
-
 // TestChunksCoversRangeOnce: every index appears in exactly one chunk,
 // chunks are aligned, and worker ids are in range.
 func TestChunksCoversRangeOnce(t *testing.T) {

@@ -392,9 +392,15 @@ func (p *Planner) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, p.Stats())
 }
 
-// DecodeQueryParams parses the GET URL-parameter query encoding — exported
-// so the fleet router accepts the exact member dialect without duplicating
-// the parameter names.
+// maxTopK is the largest K a request may ask for. Selection heaps, batch
+// results and the router's merge are all sized by K, so the wire may not
+// carry an unbounded one; a request above the cap is a 400 before admission,
+// on a member and (through DecodeQueryParams) on the router alike.
+const maxTopK = 4096
+
+// DecodeQueryParams parses a query request in either member encoding (JSON
+// body on POST, URL parameters on GET) — exported so the fleet router accepts
+// the exact member dialect, limits included, without duplicating it.
 func DecodeQueryParams(r *http.Request) (QueryRequest, error) {
 	return decodeQueryRequest(r)
 }
@@ -448,6 +454,9 @@ func decodeQueryRequest(r *http.Request) (QueryRequest, error) {
 	}
 	if req.N <= 0 {
 		return req, fmt.Errorf("problem size n=%d, want > 0", req.N)
+	}
+	if req.TopK > maxTopK {
+		return req, fmt.Errorf("topk=%d, want <= %d", req.TopK, maxTopK)
 	}
 	return req, nil
 }

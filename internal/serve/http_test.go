@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hetmodel/internal/core"
@@ -90,20 +91,17 @@ func TestHTTPQueryParity(t *testing.T) {
 		t.Error("second query at the same size did not hit the evaluator cache")
 	}
 
-	// Constrained GET matches the direct filtered search.
-	cons := Constraints{Classes: []int{0}, MaxTotalProcs: 6}
-	wantCons, err := ms.OptimizeSpace(p.Space(), 1600, core.SearchOptions{
-		Workers: 1, TopK: 2, Filter: cons.Filter(1600, ms.Classes),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Constrained GET matches the brute-force ranking of the admissible set.
+	wantCons, _ := bruteForce(t, ms, p.Space(), 1600, 2, Constraints{Classes: []int{0}, MaxTotalProcs: 6})
 	var gotCons QueryResponse
 	getJSON(t, srv.URL+"/v1/topk?n=1600&topk=2&classes=0&maxTotalProcs=6", http.StatusOK, &gotCons)
+	if len(gotCons.Best) != len(wantCons) {
+		t.Fatalf("constrained GET answered %d candidates, want %d", len(gotCons.Best), len(wantCons))
+	}
 	for i, c := range gotCons.Best {
-		if c.Tau != wantCons.Best[i].Tau || c.Config != wantCons.Best[i].Config.String() {
+		if c.Tau != wantCons[i].Tau || c.Config != wantCons[i].Config.String() {
 			t.Errorf("constrained candidate %d: %s tau=%v, want %s tau=%v",
-				i, c.Config, c.Tau, wantCons.Best[i].Config, wantCons.Best[i].Tau)
+				i, c.Config, c.Tau, wantCons[i].Config, wantCons[i].Tau)
 		}
 	}
 }
@@ -118,6 +116,20 @@ func TestHTTPBadRequests(t *testing.T) {
 	getJSON(t, srv.URL+"/v1/query?n=abc", http.StatusBadRequest, nil)
 	getJSON(t, srv.URL+"/v1/query?n=2400&classes=x", http.StatusBadRequest, nil)
 	postJSON(t, srv.URL+"/v1/query", QueryRequest{N: 2400, Classes: []int{9}}, http.StatusBadRequest, nil)
+	// A K beyond the cap is refused before admission, over GET and POST —
+	// an unbounded K used to size the selection heaps directly and took the
+	// process down with an uncatchable out-of-memory — and the server keeps
+	// answering.
+	getJSON(t, srv.URL+"/v1/topk?n=1600&topk=1099511627776", http.StatusBadRequest, &errResp)
+	if !strings.Contains(errResp.Error, "topk") {
+		t.Errorf("oversized topk: error %q does not name the parameter", errResp.Error)
+	}
+	postJSON(t, srv.URL+"/v1/topk", QueryRequest{N: 1600, TopK: maxTopK + 1}, http.StatusBadRequest, nil)
+	var atCap QueryResponse
+	getJSON(t, srv.URL+fmt.Sprintf("/v1/topk?n=1600&topk=%d", maxTopK), http.StatusOK, &atCap)
+	if int64(len(atCap.Best)) != atCap.Size {
+		t.Errorf("topk at the cap returned %d of %d candidates", len(atCap.Best), atCap.Size)
+	}
 	// Unsatisfiable constraints: well-formed but no scorable candidate.
 	postJSON(t, srv.URL+"/v1/query", QueryRequest{N: 2400, MaxBytesPerPE: 1}, http.StatusUnprocessableEntity, nil)
 	// Reload needs POST and a path.

@@ -240,15 +240,6 @@ func (c Constraints) Core() *core.Constraints {
 	}
 }
 
-// Filter compiles canonical constraints into the candidate predicate the
-// structured form is defined against (nil when unconstrained), for problem
-// size n over the given class count. Exported so equivalence tests — and any
-// caller wanting the direct path — can hand the identical filter to
-// ModelSet.OptimizeSpace.
-func (c Constraints) Filter(n float64, classes int) func(cfg cluster.Configuration) bool {
-	return c.Core().FilterFunc(n, classes)
-}
-
 // Query is one planning request.
 type Query struct {
 	// N is the problem size (required, > 0).

@@ -10,6 +10,7 @@ import (
 
 	"hetmodel/internal/cluster"
 	"hetmodel/internal/core"
+	"hetmodel/internal/parallel"
 )
 
 // testModel fits a deterministic two-class model covering testSpace: each
@@ -69,6 +70,44 @@ func newTestPlanner(tb testing.TB, opts Options) (*Planner, *core.ModelSet) {
 	return p, ms
 }
 
+// bruteForce is the oracle every parity test in this package compares the
+// planner against, written with nothing the search kernel uses: visit every
+// point of the space's grid, drop the all-unused configuration and whatever
+// the constraints' defining FilterFunc closure rejects, score the rest one
+// by one through Evaluator.Tau, and keep the k best by (τ, grid index). size
+// is the grid's candidate count, what Result.Size must report.
+func bruteForce(tb testing.TB, ms *core.ModelSet, space cluster.Space, n, k int, cons Constraints) (best []core.Estimate, size int64) {
+	tb.Helper()
+	grid, err := space.Compile()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if k <= 0 {
+		k = 1
+	}
+	ev := ms.Compile(float64(n))
+	accept := cons.Core().FilterFunc(float64(n), ms.Classes)
+	tk := parallel.NewTopK(k)
+	grid.Visit(func(idx int64, cfg cluster.Configuration) bool {
+		if cfg.TotalProcs() == 0 {
+			return true
+		}
+		size++
+		if accept == nil || accept(cfg) {
+			if tau, ok := ev.Tau(cfg); ok {
+				tk.Offer(idx, tau)
+			}
+		}
+		return true
+	})
+	for _, c := range tk.Sorted() {
+		use := make([]cluster.ClassUse, grid.Classes())
+		grid.At(c.Index, use)
+		best = append(best, core.Estimate{Config: cluster.Configuration{Use: use}, Tau: c.Score})
+	}
+	return best, size
+}
+
 func sameBest(tb testing.TB, got, want []core.Estimate) {
 	tb.Helper()
 	if len(got) != len(want) {
@@ -84,10 +123,11 @@ func sameBest(tb testing.TB, got, want []core.Estimate) {
 	}
 }
 
-// TestQueryMatchesOptimizeSpace is the serving determinism contract: for any
-// size, constraints, top-K and worker count, the planner's answer is
-// bit-identical to a direct ModelSet.OptimizeSpace call with the same
-// parameters.
+// TestQueryMatchesOptimizeSpace is the serving determinism contract, one
+// table over size × constraints × top-K × worker count: the planner's answer
+// is bit-identical to the brute-force ranking of the candidates the
+// constraints accept — what a direct ModelSet.OptimizeSpace call with the
+// same parameters returns (core's equivalence tests pin that half).
 func TestQueryMatchesOptimizeSpace(t *testing.T) {
 	queries := []Query{
 		{N: 1600},
@@ -105,21 +145,10 @@ func TestQueryMatchesOptimizeSpace(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				k := q.TopK
-				if k <= 0 {
-					k = 1
-				}
-				want, err := ms.OptimizeSpace(p.Space(), q.N, core.SearchOptions{
-					Workers: workers,
-					TopK:    k,
-					Filter:  q.Constraints.Filter(float64(q.N), ms.Classes),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameBest(t, got.Best, want.Best)
-				if got.Size != want.Size {
-					t.Errorf("size %d, want %d", got.Size, want.Size)
+				want, size := bruteForce(t, ms, p.Space(), q.N, q.TopK, q.Constraints)
+				sameBest(t, got.Best, want)
+				if got.Size != size || got.Scored+got.Pruned != size {
+					t.Errorf("size %d (%d scored + %d pruned), want %d", got.Size, got.Scored, got.Pruned, size)
 				}
 			})
 		}
@@ -174,19 +203,9 @@ func TestQueryConcurrentParity(t *testing.T) {
 		{N: 3200, TopK: 1},
 		{N: 3200, TopK: 4, Constraints: Constraints{Classes: []int{1}}},
 	}
-	want := make([]*core.SearchResult, len(queries))
+	want := make([][]core.Estimate, len(queries))
 	for i, q := range queries {
-		k := q.TopK
-		if k <= 0 {
-			k = 1
-		}
-		res, err := ms.OptimizeSpace(p.Space(), q.N, core.SearchOptions{
-			Workers: 1, TopK: k, Filter: q.Constraints.Filter(float64(q.N), ms.Classes),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res
+		want[i], _ = bruteForce(t, ms, p.Space(), q.N, q.TopK, q.Constraints)
 	}
 	const goroutines = 16
 	const rounds = 25
@@ -203,7 +222,7 @@ func TestQueryConcurrentParity(t *testing.T) {
 					errc <- fmt.Errorf("query %d: %w", i, err)
 					return
 				}
-				w := want[i].Best
+				w := want[i]
 				if len(res.Best) != len(w) {
 					errc <- fmt.Errorf("query %d: %d candidates, want %d", i, len(res.Best), len(w))
 					return

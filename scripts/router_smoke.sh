@@ -5,7 +5,7 @@
 #
 #   1. Scatter parity — the router's merged ranked answers are byte-identical
 #      (full-precision JSON) to a member searching the whole grid, and match
-#      hetopt -space to its printed precision.
+#      hetopt to its printed precision.
 #   2. Kill-one-member retry — with a member down, the dead range re-scatters
 #      across the survivors and the answer bytes do not change.
 #   3. Coordinated reload — the two-phase fleet reload moves every member's
@@ -61,7 +61,7 @@ wait_up "$RPORT"
 curl -fsS "http://127.0.0.1:$RPORT/v1/healthz"
 
 echo "== scatter parity: router vs whole-grid member vs hetopt"
-"$BIN/hetopt" -model "$MODEL" -n "$N" -space -topk "$TOPK" | tee "$BIN/direct.txt"
+"$BIN/hetopt" -model "$MODEL" -n "$N" -topk "$TOPK" | tee "$BIN/direct.txt"
 grep -Eo '\([0-9,]+\) +tau = [0-9.]+' "$BIN/direct.txt" > "$BIN/direct.pairs"
 [ -s "$BIN/direct.pairs" ] || { echo "FAIL: no candidates in hetopt output" >&2; exit 1; }
 curl -fsS "http://127.0.0.1:$RPORT/v1/topk?n=$N&topk=$TOPK" > "$BIN/router_topk.json"

@@ -2,7 +2,7 @@
 # End-to-end smoke test of the planner service: build hetserve, start it
 # against the committed model fixture, run one query and one top-K over
 # HTTP, and assert the answers are bit-identical to the direct search
-# (hetopt -space over the same model file). Then the refit-parity gate:
+# (hetopt over the same model file). Then the refit-parity gate:
 # POST a measurement batch to /v1/refit (auth required) and assert the
 # refit server's ranked answers are byte-for-byte identical to a fresh
 # hetserve on the model that modelfit -rebuild produces from the same
@@ -34,7 +34,7 @@ go build -o "$BIN/hetopt" ./cmd/hetopt
 go build -o "$BIN/modelfit" ./cmd/modelfit
 
 echo "== direct search (hetopt)"
-"$BIN/hetopt" -model "$MODEL" -n "$N" -space -topk "$TOPK" | tee "$BIN/direct.txt"
+"$BIN/hetopt" -model "$MODEL" -n "$N" -topk "$TOPK" | tee "$BIN/direct.txt"
 # Extract "(config)  tau" pairs from the ranked list.
 grep -Eo '\([0-9,]+\) +tau = [0-9.]+' "$BIN/direct.txt" > "$BIN/direct.pairs"
 [ -s "$BIN/direct.pairs" ] || { echo "FAIL: no candidates in hetopt output" >&2; exit 1; }
@@ -107,7 +107,7 @@ echo
 
 # Reference path: rebuild the whole model from scratch on bins + batch.
 "$BIN/modelfit" -rebuild "$MODEL" -batch "$BIN/batch.json" -out "$BIN/rebuilt.json"
-"$BIN/hetopt" -model "$BIN/rebuilt.json" -n "$N" -space -topk "$TOPK" | tee "$BIN/direct2.txt"
+"$BIN/hetopt" -model "$BIN/rebuilt.json" -n "$N" -topk "$TOPK" | tee "$BIN/direct2.txt"
 grep -Eo '\([0-9,]+\) +tau = [0-9.]+' "$BIN/direct2.txt" > "$BIN/direct2.pairs"
 
 # A second hetserve on the rebuilt model gives full-precision JSON answers
