@@ -48,6 +48,12 @@ func TestNoDetermFleetFixture(t *testing.T) {
 	fixture(t, NoDeterm, "nodeterm", "internal", "fleet")
 }
 
+func TestNoDetermSimulatorFixtures(t *testing.T) {
+	for _, pkg := range []string{"hpl", "machine", "simnet"} {
+		fixture(t, NoDeterm, "nodeterm", "internal", pkg)
+	}
+}
+
 func TestHotPathPropFixture(t *testing.T) {
 	programFixture(t, HotPathProp, "hotpathprop")
 }

@@ -29,6 +29,13 @@ var DeterministicPackages = []string{
 	// identically on every run; durations for timeouts are fine
 	// (time.Duration, NewTicker), wall-clock reads are not.
 	"internal/fleet",
+	// The HPL simulator and the machine and network models under it produce
+	// every number the committed report and figures pin (the golden test in
+	// internal/experiments); run-to-run noise is drawn from seeded streams
+	// only (hpl.RunNoise).
+	"internal/hpl",
+	"internal/machine",
+	"internal/simnet",
 }
 
 // NoDeterm forbids ambient entropy — wall-clock reads and unseeded global
@@ -42,8 +49,8 @@ var NoDeterm = &Analyzer{
 	Name: "nodeterm",
 	Doc: `forbid wall-clock and unseeded randomness in deterministic packages
 
-Inside internal/{core,linalg,lsq,vmpi,des,workload,stats,fleet},
-time.Now/Since/Until, the global math/rand and math/rand/v2 top-level
+Inside internal/{core,linalg,lsq,vmpi,des,workload,stats,fleet,hpl,machine,
+simnet}, time.Now/Since/Until, the global math/rand and math/rand/v2 top-level
 generators, and crypto/rand are all banned: entropy must flow from explicit
 seeds, time from virtual or injected clocks.`,
 	Run: runNoDeterm,

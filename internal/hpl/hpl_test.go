@@ -70,6 +70,22 @@ func TestRunValidatesParams(t *testing.T) {
 	if _, err := Run(cl, cfg(9, 1, 0, 0), Params{N: 100}); err == nil {
 		t.Fatal("over-allocation accepted")
 	}
+	// Non-finite floats would surface as a non-finite WallTime with a nil
+	// error — a sample the campaign would hand straight to the fit.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, p := range map[string]Params{
+			"Noise":          {N: 100, Noise: bad},
+			"NoiseAbs":       {N: 100, NoiseAbs: bad},
+			"WorkspaceBytes": {N: 100, WorkspaceBytes: bad},
+		} {
+			if res, err := Run(cl, cfg(1, 1, 2, 1), p); !errors.Is(err, ErrBadParams) {
+				t.Fatalf("%s = %v accepted: result %+v, err %v", name, bad, res, err)
+			}
+		}
+	}
+	if _, err := Run(cl, cfg(1, 1, 2, 1), Params{N: 100, Bcast: vmpi.BcastAlg(7)}); !errors.Is(err, ErrBadParams) {
+		t.Fatalf("unknown broadcast algorithm: err = %v", err)
+	}
 }
 
 func TestNumericSingleRankResidual(t *testing.T) {

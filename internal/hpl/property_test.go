@@ -24,6 +24,43 @@ func randomConfig(rng *rand.Rand) cluster.Configuration {
 	}
 }
 
+// Property: the closed forms of LocalCols and TrailingLocalCols equal their
+// definitions as sums over the rank's panels, including a partial last panel,
+// more ranks than panels, and j outside the panel range.
+func TestLayoutClosedFormsProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nb := 1 + rng.Intn(80)
+		n := 1 + rng.Intn(40*nb)
+		p := 1 + rng.Intn(24)
+		lay := NewLayout(n, nb, p)
+		for r := 0; r < p; r++ {
+			local := 0
+			for jj := r; jj < lay.NumPanels(); jj += p {
+				local += lay.Width(jj)
+			}
+			if lay.LocalCols(r) != local {
+				return false
+			}
+			for j := -2; j <= lay.NumPanels()+1; j++ {
+				trailing := 0
+				for jj := r; jj < lay.NumPanels(); jj += p {
+					if jj > j {
+						trailing += lay.Width(jj)
+					}
+				}
+				if lay.TrailingLocalCols(r, j) != trailing {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: for any valid configuration, the result is structurally sound —
 // positive wall, phases non-negative, Wall = max rank wall, Gflops below
 // the aggregate machine peak.

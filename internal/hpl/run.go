@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"hetmodel/internal/cluster"
-	"hetmodel/internal/machine"
 	"hetmodel/internal/vmpi"
 )
 
@@ -48,29 +47,37 @@ func (l Layout) Width(j int) int {
 	return w
 }
 
-// LocalCols returns the number of columns rank r owns.
-func (l Layout) LocalCols(r int) int {
-	total := 0
-	for j := r; j < l.numPanels; j += l.p {
-		total += l.Width(j)
+// owned returns how many of the panels [0, x) rank r owns.
+func (l Layout) owned(r, x int) int {
+	if x <= r {
+		return 0
 	}
-	return total
+	return (x - r + l.p - 1) / l.p
 }
+
+// LocalCols returns the number of columns rank r owns.
+func (l Layout) LocalCols(r int) int { return l.TrailingLocalCols(r, -1) }
 
 // LocalOffset returns the local column offset of global panel j on its
 // owner (all earlier owned panels are full width).
 func (l Layout) LocalOffset(j int) int { return (j / l.p) * l.nb }
 
 // TrailingLocalCols returns how many of rank r's columns lie strictly right
-// of panel j.
+// of panel j. Closed form (the drivers ask once per rank per panel): every
+// owned panel is nb wide except possibly the matrix's last one.
 func (l Layout) TrailingLocalCols(r, j int) int {
-	total := 0
-	for jj := r; jj < l.numPanels; jj += l.p {
-		if jj > j {
-			total += l.Width(jj)
-		}
+	lo := j + 1
+	if lo < 0 {
+		lo = 0
 	}
-	return total
+	if lo >= l.numPanels {
+		return 0
+	}
+	cols := (l.owned(r, l.numPanels) - l.owned(r, lo)) * l.nb
+	if last := l.numPanels - 1; l.Owner(last) == r {
+		cols -= l.nb - l.Width(last)
+	}
+	return cols
 }
 
 // panelMsg is the broadcast payload: the factored panel and its pivot rows.
@@ -106,7 +113,17 @@ func (pm *panelMsg) release() {
 
 // Run executes HPL for the configuration on the cluster and returns the
 // detailed result. It is safe for concurrent use across distinct runs.
+//
+// A phantom, untraced run — every measurement campaign — is evaluated by the
+// single-threaded engine (engine.go); numeric and traced runs execute on the
+// vmpi world. Both produce bit-identical timings.
 func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result, error) {
+	return run(cl, cfg, params, !params.Numeric && params.Tracer == nil)
+}
+
+// run is Run with the driver chosen by the caller, so tests can hold the
+// engine against the vmpi world on the same input.
+func run(cl *cluster.Cluster, cfg cluster.Configuration, params Params, useEngine bool) (*Result, error) {
 	params = params.withDefaults()
 	if err := params.validate(); err != nil {
 		return nil, err
@@ -120,29 +137,25 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 	if params.N < P {
 		return nil, fmt.Errorf("%w: N=%d smaller than P=%d", ErrBadParams, params.N, P)
 	}
-
-	// Static compute multipliers: multiprocessing share and memory
-	// pressure (resident set is constant across the run).
-	nodeBytes := pl.NodeResidentBytes(func(rank int) float64 {
-		return 8*float64(params.N)*float64(lay.LocalCols(rank)) +
-			8*float64(params.N)*float64(params.NB) +
-			params.WorkspaceBytes
-	})
-	// mulBusy applies to phases where all co-resident processes compute
-	// (update, laswp); mulSolo to phases where one computes while siblings
-	// yield (pfact, uptrsv).
-	mulBusy := make([]float64, P)
-	mulSolo := make([]float64, P)
-	cfgKey := cfg.Key()
-	offsets := make([]float64, P)
-	for r := 0; r < P; r++ {
-		rp := pl.Ranks[r]
-		pressure := rp.Type.PressureFactor(nodeBytes[rp.NodeID], rp.Node.MemoryBytes)
-		jitter, offset := RunNoise(params.Seed, params.N, cfgKey, r, params.Noise, params.NoiseAbs)
-		mulBusy[r] = rp.Type.MultiprocFactor(rp.Resident) * pressure * jitter
-		mulSolo[r] = rp.Type.SoloFactor(rp.Resident) * pressure * jitter
-		offsets[r] = offset
+	costs := newPhaseCosts(pl, cfg, params, lay)
+	res := NewResultShell(params, cfg.Normalize(), P)
+	if useEngine {
+		err = runEngine(pl, costs, params.Bcast, res)
+	} else {
+		err = runWorld(pl, costs, params, res)
 	}
+	if err != nil {
+		return nil, err
+	}
+	res.finalize(pl, len(cl.Classes), FlopCount(params.N))
+	return res, nil
+}
+
+// runWorld executes the run on the vmpi world, one goroutine per rank: the
+// driver that moves real panels (numeric mode) and feeds the tracer, and the
+// oracle the engine is tested against.
+func runWorld(pl *cluster.Placement, c *phaseCosts, params Params, res *Result) error {
+	P, lay := pl.P(), c.lay
 
 	// Numeric state per rank plus the pivot record (owner-written,
 	// disjoint indices, read only after the world drains).
@@ -159,33 +172,47 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 
 	world, err := vmpi.NewWorld(P, pl.TransferTime)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	world.SetRendezvous(pl.Rendezvous)
 	world.SetTracer(params.Tracer)
-	res := NewResultShell(params, cfg.Normalize(), P)
-	chainTag := func(j int) int { return lay.NumPanels() + j }
 	barrierTag := 2*lay.NumPanels() + 16
 
 	world.Run(func(p *vmpi.Proc) {
 		rank := p.Rank()
-		rp := pl.Ranks[rank]
 		var st *numState
 		if states != nil {
 			st = states[rank]
 		}
 		var t RankTiming
-		myCols := lay.LocalCols(rank)
 		// Depth-1 lookahead state: a panel factored ahead of schedule and
 		// whose broadcast this rank (as owner) already initiated.
 		var pending *panelMsg
 		pendingJ, earlySent := -1, -1
+		// factor charges panel j's factorization and produces its payload.
+		factor := func(j int) *panelMsg {
+			dt := c.pfact(rank, j)
+			p.Advance(dt)
+			t.Pfact += dt
+			if st == nil {
+				return &panelMsg{}
+			}
+			payload := st.factorPanel(j)
+			pivots[j] = payload.Pivots
+			return payload
+		}
+		// charge books the trailing update of cols columns by panel j.
+		charge := func(j, cols int) {
+			if cols <= 0 {
+				return
+			}
+			dt := c.update(rank, j, cols)
+			p.Advance(dt)
+			t.Update += dt
+		}
 
 		for j := 0; j < lay.NumPanels(); j++ {
 			o := lay.Owner(j)
-			nb := lay.Width(j)
-			row0 := j * params.NB
-			m := params.N - row0
 
 			var payload *panelMsg
 			if rank == o {
@@ -194,16 +221,7 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 					payload = pending
 					pending, pendingJ = nil, -1
 				} else {
-					flops := float64(nb) * float64(nb) * (float64(m) - float64(nb)/3)
-					dt := rp.Type.KernelTime(machine.KindPanel, int(flops), m, 0) * mulSolo[rank]
-					p.Advance(dt)
-					t.Pfact += dt
-					if st != nil {
-						payload = st.factorPanel(j)
-						pivots[j] = payload.Pivots
-					} else {
-						payload = &panelMsg{}
-					}
+					payload = factor(j)
 				}
 			}
 
@@ -213,22 +231,14 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 				pm = payload
 				earlySent = -1
 			} else {
-				bytes := 8 * float64(m*nb+nb)
-				data, elapsed := p.Bcast(o, j, payload, bytes, params.Bcast)
-				pivFrac := 1.0 / float64(m+1)
-				t.Mxswp += elapsed * pivFrac
-				t.Bcast += elapsed * (1 - pivFrac)
+				data, elapsed := p.Bcast(o, j, payload, c.panelBytes(j), params.Bcast)
+				t.addBcast(elapsed, c.panelRows(j))
 				pm, _ = data.(*panelMsg)
 			}
 
 			// Row interchanges on every local column outside the panel.
-			cOther := myCols
-			if rank == o {
-				cOther -= nb
-			}
-			if cOther > 0 {
-				elems := 2 * nb * cOther
-				dt := rp.Type.KernelTime(machine.KindRowOp, elems, cOther, 0) * mulBusy[rank]
+			if cOther := c.laswpCols(rank, j); cOther > 0 {
+				dt := c.laswp(rank, j, cOther)
 				p.Advance(dt)
 				t.Laswp += dt
 				if st != nil && pm != nil {
@@ -241,53 +251,26 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 			// it first, starts its broadcast, and only then finishes the
 			// rest of the trailing update.
 			ct := lay.TrailingLocalCols(rank, j)
-			nextJ := j + 1
-			if params.Lookahead && ct > 0 && nextJ < lay.NumPanels() && lay.Owner(nextJ) == rank {
+			if c.lookaheadSplit(rank, j, ct) {
+				nextJ := j + 1
 				wNext := lay.Width(nextJ)
-				charge := func(cols int) {
-					if cols <= 0 {
-						return
-					}
-					dtTrsm := 0.5 * rp.Type.KernelTime(machine.KindGemm, nb, cols, nb)
-					dtGemm := rp.Type.KernelTime(machine.KindGemm, m-nb, cols, nb)
-					dt := (dtTrsm + dtGemm) * mulBusy[rank]
-					p.Advance(dt)
-					t.Update += dt
-				}
-				charge(wNext)
+				charge(j, wNext)
 				if st != nil && pm != nil {
 					st.updateFiltered(j, pm, func(jj int) bool { return jj == nextJ })
 				}
-				mNext := params.N - nextJ*params.NB
-				nbNext := lay.Width(nextJ)
-				flops := float64(nbNext) * float64(nbNext) * (float64(mNext) - float64(nbNext)/3)
-				dt := rp.Type.KernelTime(machine.KindPanel, int(flops), mNext, 0) * mulSolo[rank]
-				p.Advance(dt)
-				t.Pfact += dt
-				if st != nil {
-					pending = st.factorPanel(nextJ)
-					pivots[nextJ] = pending.Pivots
-				} else {
-					pending = &panelMsg{}
-				}
-				pendingJ = nextJ
+				pending, pendingJ = factor(nextJ), nextJ
 				// Initiate the next panel's broadcast early (the owner's
 				// share only; receivers pick it up at their own pace).
-				bytesNext := 8 * float64(mNext*nbNext+nbNext)
-				_, e := p.Bcast(rank, nextJ, pending, bytesNext, params.Bcast)
+				_, e := p.Bcast(rank, nextJ, pending, c.panelBytes(nextJ), params.Bcast)
 				t.Bcast += e
 				earlySent = nextJ
-				charge(ct - wNext)
+				charge(j, ct-wNext)
 				if st != nil && pm != nil {
 					st.updateFiltered(j, pm, func(jj int) bool { return jj != nextJ })
 				}
-			} else if ct > 0 {
-				dtTrsm := 0.5 * rp.Type.KernelTime(machine.KindGemm, nb, ct, nb)
-				dtGemm := rp.Type.KernelTime(machine.KindGemm, m-nb, ct, nb)
-				dt := (dtTrsm + dtGemm) * mulBusy[rank]
-				p.Advance(dt)
-				t.Update += dt
-				if st != nil && pm != nil {
+			} else {
+				charge(j, ct)
+				if ct > 0 && st != nil && pm != nil {
 					st.update(j, pm)
 				}
 			}
@@ -303,28 +286,21 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 			if lay.Owner(j) != rank {
 				continue
 			}
-			nb := lay.Width(j)
-			row0 := j * params.NB
 			if j < lay.NumPanels()-1 && lay.Owner(j+1) != rank {
-				_, wait := p.Recv(lay.Owner(j+1), chainTag(j+1))
+				_, wait := p.Recv(lay.Owner(j+1), c.chainTag(j+1))
 				t.Uptrsv += wait
 			}
-			elems := nb*nb + 2*row0*nb
-			rowLen := row0
-			if rowLen < nb {
-				rowLen = nb
-			}
-			dt := rp.Type.KernelTime(machine.KindRowOp, elems, rowLen, 0) * mulSolo[rank]
+			dt := c.uptrsv(rank, j)
 			p.Advance(dt)
 			t.Uptrsv += dt
 			if j > 0 && lay.Owner(j-1) != rank {
-				t.Uptrsv += p.Send(lay.Owner(j-1), chainTag(j), nil, 8*float64(params.N))
+				t.Uptrsv += p.Send(lay.Owner(j-1), c.chainTag(j), nil, c.chainBytes())
 			}
 		}
 
 		// Absolute measurement jitter lands in the dominant (update)
 		// phase.
-		if off := offsets[rank]; off > 0 {
+		if off := c.offsets[rank]; off > 0 {
 			p.Advance(off)
 			t.Update += off
 		}
@@ -333,11 +309,8 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 		p.Barrier(barrierTag) // drain the world; not timed
 	})
 
-	FinalizeResult(res, pl, len(cl.Classes), FlopCount(params.N))
 	if params.Numeric {
-		if err := res.validate(lay, states, pivots); err != nil {
-			return nil, err
-		}
+		return res.validate(lay, states, pivots)
 	}
-	return res, nil
+	return nil
 }

@@ -5,16 +5,21 @@
 // per-phase timers the paper's models are built from (HPL's
 // -DHPL_DETAILED_TIMING plus the bcast timer the authors added).
 //
-// Two execution modes share one driver:
+// Two execution modes:
 //
 //   - Numeric: ranks hold real float64 panels, factorize them, and the
-//     solution is residual-checked (validates the algorithm).
+//     solution is residual-checked (validates the algorithm). Ranks run as
+//     goroutines on the internal/vmpi runtime, which moves the panels.
 //   - Phantom: only the flop/byte-accurate virtual clocks advance (makes the
-//     paper's 486-run measurement campaigns cheap).
+//     paper's 486-run measurement campaigns cheap). Nothing moves and each
+//     rank's control flow depends only on (rank, panel), so a single-threaded
+//     engine (engine.go) evaluates the same clock recurrence on the caller's
+//     goroutine; a traced phantom run stays on vmpi, which feeds the tracer.
 //
-// Virtual time comes from internal/machine (kernel times, multiprocessing
-// and memory-pressure factors) and internal/simnet (transfer times) through
-// the internal/vmpi runtime.
+// Both drivers charge every phase through one set of cost functions
+// (costs.go) in the same order, so their timings are bit-identical. Virtual
+// time comes from internal/machine (kernel times, multiprocessing and
+// memory-pressure factors) and internal/simnet (transfer times).
 package hpl
 
 import (
@@ -98,19 +103,21 @@ func (p Params) withDefaults() Params {
 	if p.WorkspaceBytes == 0 {
 		p.WorkspaceBytes = DefaultWorkspaceBytes
 	}
-	switch {
-	case p.Noise == 0:
-		p.Noise = DefaultNoise
-	case p.Noise < 0:
-		p.Noise = 0
-	}
-	switch {
-	case p.NoiseAbs == 0:
-		p.NoiseAbs = DefaultNoiseAbs
-	case p.NoiseAbs < 0:
-		p.NoiseAbs = 0
-	}
+	p.Noise = noiseAmplitude(p.Noise, DefaultNoise)
+	p.NoiseAbs = noiseAmplitude(p.NoiseAbs, DefaultNoiseAbs)
 	return p
+}
+
+// noiseAmplitude resolves a noise field: 0 selects def, a negative value
+// disables. Non-finite values pass through for validate to reject.
+func noiseAmplitude(v, def float64) float64 {
+	switch {
+	case v == 0:
+		return def
+	case v < 0 && !math.IsInf(v, -1):
+		return 0
+	}
+	return v
 }
 
 func (p Params) validate() error {
@@ -119,6 +126,14 @@ func (p Params) validate() error {
 	}
 	if p.NB < 0 || p.WorkspaceBytes < 0 {
 		return fmt.Errorf("%w: negative NB or workspace", ErrBadParams)
+	}
+	for _, v := range [...]float64{p.Noise, p.NoiseAbs, p.WorkspaceBytes} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: non-finite noise or workspace %v", ErrBadParams, v)
+		}
+	}
+	if p.Bcast != vmpi.BcastRing && p.Bcast != vmpi.BcastBinomial {
+		return fmt.Errorf("%w: unknown broadcast algorithm %v", ErrBadParams, p.Bcast)
 	}
 	return nil
 }

@@ -149,8 +149,15 @@ func (p *PEType) KernelTime(kind Kind, m, n, k int) float64 {
 		}
 		return p.CallOverhead + float64(m)/rate
 	default:
-		panic(fmt.Sprintf("machine: unknown kernel kind %d", kind))
+		panicUnknownKind(kind)
+		return 0
 	}
+}
+
+// panicUnknownKind lives outside KernelTime so that the simulator's
+// allocation-free inner loop, which calls it per phase, carries no fmt call.
+func panicUnknownKind(kind Kind) {
+	panic(fmt.Sprintf("machine: unknown kernel kind %d", kind))
 }
 
 // MultiprocFactor returns the multiplier (>= resident) applied to kernel
