@@ -8,7 +8,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -288,17 +287,6 @@ func (pl *Placement) Rendezvous(bytes float64, src, dst int) bool {
 	return pl.cluster.Fabric.NeedsRendezvous(bytes, pl.SameNode(src, dst))
 }
 
-// ClassRanks returns the rank indices belonging to class ci.
-func (pl *Placement) ClassRanks(ci int) []int {
-	var out []int
-	for r, rp := range pl.Ranks {
-		if rp.Class == ci {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // NodeResidentBytes sums perRankBytes over the ranks of each node, returning
 // a map from NodeID to resident bytes. Used for the memory-pressure model.
 func (pl *Placement) NodeResidentBytes(perRankBytes func(rank int) float64) map[int]float64 {
@@ -307,45 +295,4 @@ func (pl *Placement) NodeResidentBytes(perRankBytes func(rank int) float64) map[
 		out[rp.NodeID] += perRankBytes(r)
 	}
 	return out
-}
-
-// MemoryGuard returns a predicate for the paper's §3.4 memory binning:
-// given a configuration and problem size it predicts whether every node's
-// resident set fits its physical memory, using the predetermined per-rank
-// requirement 8·N²/P bytes of matrix share plus perRankExtra(N) bytes
-// (workspace, buffers). It returns 1 when everything fits and +Inf
-// otherwise, matching the core.MemoryGuard contract. Unplaceable
-// configurations are also excluded.
-func (cl *Cluster) MemoryGuard(perRankExtra func(n float64) float64) func(cfg Configuration, n float64) float64 {
-	return func(cfg Configuration, n float64) float64 {
-		pl, err := cl.Place(cfg)
-		if err != nil {
-			return math.Inf(1)
-		}
-		p := float64(pl.P())
-		extra := 0.0
-		if perRankExtra != nil {
-			extra = perRankExtra(n)
-		}
-		bytes := pl.NodeResidentBytes(func(rank int) float64 {
-			return 8*n*n/p + extra
-		})
-		for nodeID, resident := range bytes {
-			node := pl.nodeByID(nodeID)
-			if node == nil || resident > node.MemoryBytes {
-				return math.Inf(1)
-			}
-		}
-		return 1
-	}
-}
-
-// nodeByID resolves a cluster-global node index.
-func (pl *Placement) nodeByID(id int) *machine.Node {
-	for _, rp := range pl.Ranks {
-		if rp.NodeID == id {
-			return rp.Node
-		}
-	}
-	return nil
 }

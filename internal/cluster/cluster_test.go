@@ -11,6 +11,17 @@ import (
 	"hetmodel/internal/simnet"
 )
 
+// ClassRanks returns the rank indices belonging to class ci.
+func (pl *Placement) ClassRanks(ci int) []int {
+	var out []int
+	for r, rp := range pl.Ranks {
+		if rp.Class == ci {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 func paperCluster(t *testing.T) *Cluster {
 	t.Helper()
 	cl, err := NewPaper(simnet.NewMPICH122())

@@ -40,8 +40,12 @@ func (s Space) Compile() (*Grid, error) {
 	}
 	classes := len(s.PEChoices)
 	g := &Grid{pairs: make([][]ClassUse, classes), stride: make([]int64, classes)}
+	// maxP is the largest reachable total process count — the search tabulates
+	// per P — in floats, so that absurd choices cannot wrap into range.
+	maxP := 0.0
 	for ci := range s.PEChoices {
 		pairs := make([]ClassUse, 0, len(s.PEChoices[ci])*len(s.ProcChoices[ci]))
+		heaviest := 0.0
 		for _, pe := range s.PEChoices[ci] {
 			for _, m := range s.ProcChoices[ci] {
 				u := ClassUse{PEs: pe, Procs: m}
@@ -49,8 +53,10 @@ func (s Space) Compile() (*Grid, error) {
 					u = ClassUse{}
 				}
 				pairs = append(pairs, u)
+				heaviest = max(heaviest, float64(u.PEs)*float64(u.Procs))
 			}
 		}
+		maxP += heaviest
 		sort.Slice(pairs, func(i, j int) bool {
 			if pairs[i].PEs != pairs[j].PEs {
 				return pairs[i].PEs < pairs[j].PEs
@@ -64,6 +70,9 @@ func (s Space) Compile() (*Grid, error) {
 			}
 		}
 		g.pairs[ci] = uniq
+	}
+	if maxP > maxTotalProcs {
+		return nil, fmt.Errorf("%w: space reaches %g total processes, limit %d", ErrBadConfig, maxP, maxTotalProcs)
 	}
 	size := int64(1)
 	for ci := classes - 1; ci >= 0; ci-- {

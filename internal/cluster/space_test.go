@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -184,5 +185,68 @@ func TestCompileOverflow(t *testing.T) {
 	}
 	if _, err := s.Compile(); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("2^63 overflow not rejected: %v", err)
+	}
+}
+
+// TestCompileRejectsHugeP: the search tabulates per total process count, so
+// a space that can reach more than 2¹⁶ processes is refused at Compile — the
+// boundary itself is accepted — and absurd per-pair products cannot wrap the
+// sum into range.
+func TestCompileRejectsHugeP(t *testing.T) {
+	at := Space{PEChoices: [][]int{{0, 1, 2, 40000}, {0, 1, 4, 12768}}, ProcChoices: [][]int{{1}, {1, 2}}}
+	if g, err := at.Compile(); err != nil || g.Size() != 4*7 {
+		t.Fatalf("space reaching exactly 2^16 processes: %v", err)
+	}
+	for name, s := range map[string]Space{
+		"one over":  {PEChoices: [][]int{{0, 1, 2, 40000}, {0, 1, 4, 12769}}, ProcChoices: [][]int{{1}, {1, 2}}},
+		"hugeP":     {PEChoices: [][]int{{0, 1, 2, 40000}, {0, 1, 4, 40000}}, ProcChoices: [][]int{{1, 2}, {1, 3}}},
+		"wrapping":  {PEChoices: [][]int{{math.MaxInt}, {1}}, ProcChoices: [][]int{{math.MaxInt}, {1}}},
+		"wrapping2": {PEChoices: [][]int{{1 << 32}, {1}}, ProcChoices: [][]int{{1 << 32}, {1}}},
+	} {
+		if _, err := s.Compile(); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("%s: space beyond 2^16 processes not rejected: %v", name, err)
+		}
+		if _, err := s.Enumerate(); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("%s: Enumerate accepted the space: %v", name, err)
+		}
+	}
+}
+
+// TestDescriptorValidate: every way a descriptor can be unusable — or could
+// make the estimator allocate without bound — is refused.
+func TestDescriptorValidate(t *testing.T) {
+	good := func() *Descriptor {
+		return &Descriptor{
+			Nodes:     [][]NodeSpec{{{CPUs: 1, MemoryBytes: 1 << 30}}, {{CPUs: 2, MemoryBytes: 1 << 29}, {CPUs: 2, MemoryBytes: 1 << 29}}},
+			RankBytes: RankBytes{N2OverP: 8, N: 512, Fixed: 1 << 20},
+		}
+	}
+	if err := good().Validate(2); err != nil {
+		t.Fatalf("valid descriptor rejected: %v", err)
+	}
+	if err := (&Descriptor{Nodes: [][]NodeSpec{{{CPUs: maxTotalProcs, MemoryBytes: 1}}}}).Validate(1); err != nil {
+		t.Fatalf("class at the cpu cap with a zero requirement rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(d *Descriptor){
+		"class count":     func(d *Descriptor) { d.Nodes = d.Nodes[:1] },
+		"empty class":     func(d *Descriptor) { d.Nodes[1] = nil },
+		"zero cpus":       func(d *Descriptor) { d.Nodes[1][0].CPUs = 0 },
+		"negative cpus":   func(d *Descriptor) { d.Nodes[0][0].CPUs = -2 },
+		"zero memory":     func(d *Descriptor) { d.Nodes[0][0].MemoryBytes = 0 },
+		"negative memory": func(d *Descriptor) { d.Nodes[1][1].MemoryBytes = -1 },
+		"NaN memory":      func(d *Descriptor) { d.Nodes[1][1].MemoryBytes = math.NaN() },
+		"+Inf memory":     func(d *Descriptor) { d.Nodes[1][1].MemoryBytes = math.Inf(1) },
+		"-Inf memory":     func(d *Descriptor) { d.Nodes[1][1].MemoryBytes = math.Inf(-1) },
+		"cpu cap":         func(d *Descriptor) { d.Nodes[1][0].CPUs = maxTotalProcs - 1 },
+		"cpu sum wraps":   func(d *Descriptor) { d.Nodes[1][1].CPUs = math.MaxInt },
+		"negative coeff":  func(d *Descriptor) { d.RankBytes.N = -1 },
+		"NaN coeff":       func(d *Descriptor) { d.RankBytes.N2OverP = math.NaN() },
+		"Inf coeff":       func(d *Descriptor) { d.RankBytes.Fixed = math.Inf(1) },
+	} {
+		d := good()
+		mutate(d)
+		if err := d.Validate(2); !errors.Is(err, ErrBadCluster) {
+			t.Errorf("%s: err = %v, want ErrBadCluster", name, err)
+		}
 	}
 }

@@ -13,11 +13,10 @@ import (
 // pair) exclusion masks and prefix/suffix cap checks that zero whole
 // subtrees without decoding or visiting their candidates.
 //
-// Semantics are defined by FilterFunc: a constrained search returns
-// bit-identical Best/BestIndex/Size to ranking, by brute force, exactly the
-// candidates the closure accepts (the equivalence tests pin this).
-// Structurally excluded candidates count as pruned (skipped wholesale), not
-// scored.
+// A constrained search returns bit-identical Best/BestIndex/Size to ranking,
+// by brute force, exactly the candidates the fields below admit (the
+// equivalence tests pin this against a plain predicate). Structurally
+// excluded candidates count as pruned (skipped wholesale), not scored.
 type Constraints struct {
 	// Classes lists the PE classes a candidate may use (nil or empty allows
 	// all); a configuration using any PE of another class is excluded.
@@ -25,7 +24,8 @@ type Constraints struct {
 	// MaxTotalProcs caps the total process count P = Σ Pi·Mi (0 = no cap).
 	MaxTotalProcs int
 	// MaxBytesPerPE caps the predetermined per-PE resident set of the
-	// paper's §3.4 memory model, Mi·8·N²/P bytes (0 = no cap).
+	// paper's §3.4 memory model, Mi·8·N²/P bytes with Mi the largest process
+	// count in use, evaluated as 8·N·N/P·Mi (0 = no cap).
 	MaxBytesPerPE float64
 }
 
@@ -59,57 +59,12 @@ func (c *Constraints) validate(classes int) error {
 	return nil
 }
 
-// FilterFunc compiles the constraints into the equivalent candidate
-// predicate (nil when unconstrained), for problem size n over the given
-// class count. This closure is the semantic ground truth: the structural
-// pruning path must accept and reject exactly the candidates it does, and
-// it remains the execution path for searches without dense grid tables
-// (memory-guarded evaluators, oversized spaces) and the predicate of the
-// brute-force oracle in the equivalence tests.
-func (c *Constraints) FilterFunc(n float64, classes int) func(cfg cluster.Configuration) bool {
-	if c.zero() {
-		return nil
-	}
-	var allowed []bool
-	if len(c.Classes) > 0 {
-		allowed = make([]bool, classes)
-		for _, v := range c.Classes {
-			if v >= 0 && v < classes {
-				allowed[v] = true
-			}
-		}
-	}
-	matrixBytes := 8 * n * n
-	return func(cfg cluster.Configuration) bool {
-		p, maxM := 0, 0
-		for ci, u := range cfg.Use {
-			if u.PEs <= 0 || u.Procs <= 0 {
-				continue
-			}
-			if allowed != nil && (ci >= classes || !allowed[ci]) {
-				return false
-			}
-			p += u.PEs * u.Procs
-			if u.Procs > maxM {
-				maxM = u.Procs
-			}
-		}
-		if c.MaxTotalProcs > 0 && p > c.MaxTotalProcs {
-			return false
-		}
-		if c.MaxBytesPerPE > 0 && p > 0 && matrixBytes/float64(p)*float64(maxM) > c.MaxBytesPerPE {
-			return false
-		}
-		return true
-	}
-}
-
 // conPlan is a per-search compilation of Constraints against one grid: the
 // static per-(class, pair) exclusion mask plus the dynamic caps the walker
 // checks against its prefix accumulators. Every structural skip it enables
-// is exact — it removes a candidate if and only if FilterFunc rejects it —
-// which the leaf-level checks guarantee by evaluating the closure's own
-// float expressions on the closure's own operands, and the subtree-level
+// is exact — it removes a candidate if and only if the constraints exclude
+// it — which the leaf-level checks guarantee by evaluating the defining
+// float expression on the candidate's own operands, and the subtree-level
 // checks guarantee by conservative corner bounds (see walker.walk).
 type conPlan struct {
 	// pairOK[ci][j] is false when no candidate using pair j of class ci can

@@ -9,6 +9,49 @@ import (
 	"hetmodel/internal/cluster"
 )
 
+// FilterFunc spells the constraints out as a candidate predicate (nil when
+// unconstrained), for problem size n over the given class count. It is the
+// semantic ground truth of the tests: the structural pruning must accept and
+// reject exactly the candidates it does, and it is the predicate of the
+// brute-force and v1 oracles.
+func (c *Constraints) FilterFunc(n float64, classes int) func(cfg cluster.Configuration) bool {
+	if c.zero() {
+		return nil
+	}
+	var allowed []bool
+	if len(c.Classes) > 0 {
+		allowed = make([]bool, classes)
+		for _, v := range c.Classes {
+			if v >= 0 && v < classes {
+				allowed[v] = true
+			}
+		}
+	}
+	matrixBytes := 8 * n * n
+	return func(cfg cluster.Configuration) bool {
+		p, maxM := 0, 0
+		for ci, u := range cfg.Use {
+			if u.PEs <= 0 || u.Procs <= 0 {
+				continue
+			}
+			if allowed != nil && (ci >= classes || !allowed[ci]) {
+				return false
+			}
+			p += u.PEs * u.Procs
+			if u.Procs > maxM {
+				maxM = u.Procs
+			}
+		}
+		if c.MaxTotalProcs > 0 && p > c.MaxTotalProcs {
+			return false
+		}
+		if c.MaxBytesPerPE > 0 && p > 0 && matrixBytes/float64(p)*float64(maxM) > c.MaxBytesPerPE {
+			return false
+		}
+		return true
+	}
+}
+
 // multiClassWorld builds a model set with the given class count, every class
 // measured at M = 1..3 on 1, 2 and 4 PEs (class c at speed factor 1+c/4),
 // so grids over several classes have full coverage and a non-trivial τ
@@ -128,26 +171,27 @@ func TestConstrainedSearchMatchesFilterOracle(t *testing.T) {
 	}
 }
 
-// TestConstraintsGuardedFallback pins the closure fallback: a memory-guarded
-// evaluator has no dense tables, so structured constraints must run as their
-// closure and still match the brute-force oracle.
-func TestConstraintsGuardedFallback(t *testing.T) {
-	guard := func(cfg cluster.Configuration, n float64) float64 { return 1 }
-	ms := richWorld(t, guard)
-	ev := ms.Compile(6400)
+// TestConstraintsGuardedTablePath pins structured constraints on an evaluator
+// with a cluster descriptor: its exclusions sit in the tables as +Inf, so the
+// constraints prune structurally as ever and the answer still matches the
+// brute-force oracle.
+func TestConstraintsGuardedTablePath(t *testing.T) {
+	ms := richWorld(t, tightDescriptor())
+	ev := ms.Compile(5600)
 	grid, err := cluster.PaperEvaluationSpace().Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cons := &Constraints{Classes: []int{1}, MaxTotalProcs: 6}
 	want, size := bruteForce(ev, grid, nil, cons, 3)
-	if len(want) != 3 {
-		t.Fatalf("vacuous: brute force ranked %d", len(want))
+	unguarded, _ := bruteForce(richWorld(t, nil).Compile(5600), grid, nil, cons, 3)
+	if len(want) < 2 || fmt.Sprint(want) == fmt.Sprint(unguarded) {
+		t.Fatalf("vacuous: brute force ranked %v, %v without the descriptor", want, unguarded)
 	}
 	got, err := ev.Search(grid, SearchOptions{Workers: 1, TopK: 3, Constraints: cons})
 	checkAgainst(t, "guarded", grid, got, err, want, size, false)
-	if got.Scored != got.Size {
-		t.Fatalf("fallback path scored %d of %d", got.Scored, got.Size)
+	if got.Pruned == 0 {
+		t.Fatalf("structural constraints pruned nothing: scored %d of %d", got.Scored, got.Size)
 	}
 }
 

@@ -75,33 +75,14 @@ func checkAgainst(t *testing.T, label string, grid *cluster.Grid, got *SearchRes
 	}
 }
 
-// hugePSpace is a two-class space whose total process count exceeds
-// maxGridTableP, so its grid compiles without dense tables and every search
-// over it takes the per-candidate scanRange path.
-func hugePSpace() cluster.Space {
-	return cluster.Space{
-		PEChoices:   [][]int{{0, 1, 2, 40000}, {0, 1, 4, 40000}},
-		ProcChoices: [][]int{{1, 2}, {1, 3}},
-	}
-}
-
 // TestSearchEquivalence is the one table of the search contract: for every
-// execution path (dense tables, memory-guarded scanRange, scanRange on a
-// grid with total P > 2¹⁶) × constraint kind × full and split ranges ×
-// k ∈ {1, 3, Size} × workers ∈ {1, 2, 8}, Search returns exactly the
-// brute-force ranking; on the table path the v1 walker oracle agrees too;
-// the split ranges merge to the full answer; and SearchReuse over one
-// recycled Reusable matches Search(Workers: 1) down to Scored/Pruned.
+// kind of world (plain tables, a tie-heavy one, one whose cluster descriptor
+// writes +Inf exclusions into the tables) × constraint kind × full and split
+// ranges × k ∈ {1, 3, Size} × workers ∈ {1, 2, 8}, Search returns exactly
+// the brute-force ranking and the v1 walker oracle agrees; the split ranges
+// merge to the full answer; and SearchReuse over one recycled Reusable
+// matches Search(Workers: 1) down to Scored/Pruned.
 func TestSearchEquivalence(t *testing.T) {
-	guard := func(cfg cluster.Configuration, n float64) float64 {
-		switch p := cfg.TotalProcs(); {
-		case p > 10:
-			return math.Inf(1) // excluded outright
-		case p > 6:
-			return 2 // penalized, to stress ordering
-		}
-		return 1
-	}
 	compile := func(s cluster.Space) *cluster.Grid {
 		g, err := s.Compile()
 		if err != nil {
@@ -110,24 +91,16 @@ func TestSearchEquivalence(t *testing.T) {
 		return g
 	}
 	paths := []struct {
-		name   string
-		ev     *Evaluator
-		grid   *cluster.Grid
-		tables bool
+		name string
+		ev   *Evaluator
+		grid *cluster.Grid
 	}{
-		{"tables", multiClassWorld(t, 3).Compile(2400), compile(multiClassSpace(3)), true},
-		{"ties", tieWorld(t).Compile(6400), compile(cluster.PaperEvaluationSpace()), true},
-		{"guarded", richWorld(t, guard).Compile(6400), compile(cluster.PaperEvaluationSpace()), false},
-		{"hugeP", multiClassWorld(t, 2).Compile(2400), compile(hugePSpace()), false},
+		{"tables", multiClassWorld(t, 3).Compile(2400), compile(multiClassSpace(3))},
+		{"ties", tieWorld(t).Compile(6400), compile(cluster.PaperEvaluationSpace())},
+		{"guarded", richWorld(t, tightDescriptor()).Compile(6400), compile(cluster.PaperEvaluationSpace())},
 	}
 	for _, p := range paths {
 		tbl := p.ev.tables(p.grid)
-		if p.ev.guard != nil {
-			tbl = nil
-		}
-		if (tbl != nil) != p.tables {
-			t.Fatalf("%s: dense tables present = %v, want %v", p.name, tbl != nil, p.tables)
-		}
 		n, size := p.ev.N(), p.grid.Size()
 		constraints := []*Constraints{
 			nil,
@@ -147,18 +120,16 @@ func TestSearchEquivalence(t *testing.T) {
 						lists = append(lists, want)
 					}
 					label := fmt.Sprintf("%s cons %d k=%d range %d", p.name, ci, k, ri)
-					if tbl != nil {
-						lo, hi := int64(0), size
-						if rg != nil {
-							lo, hi = rg.Lo, rg.Hi
-						}
-						v1, _ := v1Offers(p.grid, tbl, lo, hi, emptyIndex(p.grid), cons.FilterFunc(n, p.grid.Classes()))
-						if len(v1) > k {
-							v1 = v1[:k]
-						}
-						if fmt.Sprint(v1) != fmt.Sprint(want) {
-							t.Fatalf("%s: v1 oracle %v, brute force %v", label, v1, want)
-						}
+					lo, hi := int64(0), size
+					if rg != nil {
+						lo, hi = rg.Lo, rg.Hi
+					}
+					v1, _ := v1Offers(p.grid, tbl, lo, hi, emptyIndex(p.grid), cons.FilterFunc(n, p.grid.Classes()))
+					if len(v1) > k {
+						v1 = v1[:k]
+					}
+					if fmt.Sprint(v1) != fmt.Sprint(want) {
+						t.Fatalf("%s: v1 oracle %v, brute force %v", label, v1, want)
 					}
 					opts := SearchOptions{TopK: k, Range: rg, Constraints: cons}
 					var seq *SearchResult

@@ -28,8 +28,9 @@ type Evaluator struct {
 	// {class, P: m, M: m}; NaN marks a missing bin.
 	nt [][]float64
 	// pt[class][m] is the compiled P-T entry of bin {class, m}.
-	pt    [][]ptEval
-	guard MemoryGuard
+	pt [][]ptEval
+	// mem is the model set's cluster descriptor compiled for n (nil without).
+	mem *memRule
 	// tcache is the one-slot grid-tables cache (see Evaluator.tables). It is
 	// the evaluator's only mutable state; recomputing on a racing miss is
 	// idempotent, so the model snapshot semantics above are unaffected.
@@ -59,13 +60,8 @@ type ptEval struct {
 // Compile builds the evaluator for problem size n. Compilation is cheap —
 // O(model bins) — so per-query compilation is fine; hot loops that score
 // many candidates at one size should compile once and reuse.
-//
-// The memory guard, when the model set has one, is carried over and invoked
-// per candidate with the configuration as the caller passed it, where
-// ModelSet.Estimate passes it normalized; the guards built by
-// cluster.MemoryGuard normalize internally, so both see identical decisions.
 func (ms *ModelSet) Compile(n float64) *Evaluator {
-	ev := &Evaluator{classes: ms.Classes, n: n, guard: ms.Memory}
+	ev := &Evaluator{classes: ms.Classes, n: n, mem: compileMemRule(ms.Cluster, n)}
 	maxNT := make([]int, ms.Classes)
 	maxPT := make([]int, ms.Classes)
 	for k := range ms.NT {
@@ -174,8 +170,8 @@ func (ev *Evaluator) classTau(class, procs, p int) (float64, bool) {
 // the model set can score it at all (the boolean counterpart of
 // ModelSet.Estimate's error). Tau allocates nothing: it treats classes with a nonpositive PE or
 // process count as unused instead of materializing a normalized copy, which
-// is equivalent by construction. The memory guard, when present, receives
-// the configuration exactly as passed.
+// is equivalent by construction. A scorable configuration the §3.4 memory
+// rule excludes scores +Inf.
 //
 //het:hotpath
 //het:allocfree
@@ -201,12 +197,12 @@ func (ev *Evaluator) Tau(cfg cluster.Configuration) (float64, bool) {
 		if !ok {
 			return 0, false
 		}
+		if ev.mem != nil && !ev.mem.fits(ci, u.PEs, u.Procs, p) {
+			ti = math.Inf(1)
+		}
 		if ti > total {
 			total = ti
 		}
-	}
-	if ev.guard != nil {
-		total *= ev.guard(cfg, ev.n)
 	}
 	return total, true
 }

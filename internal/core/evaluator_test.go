@@ -12,8 +12,8 @@ import (
 
 // richWorld builds a two-class model set exercising every estimation
 // feature: fitted P-T bins for M = 1..4, composed class-0 P-T models, a
-// §4.1 adjustment on both classes, and (optionally) a memory guard.
-func richWorld(t *testing.T, guard MemoryGuard) *ModelSet {
+// §4.1 adjustment on both classes, and (optionally) a cluster descriptor.
+func richWorld(t *testing.T, desc *cluster.Descriptor) *ModelSet {
 	t.Helper()
 	var samples []Sample
 	for m := 1; m <= 4; m++ {
@@ -54,7 +54,7 @@ func richWorld(t *testing.T, guard MemoryGuard) *ModelSet {
 		0: {A: 0.93, B: 0.4},
 		1: {A: 1.07, B: -0.2},
 	}
-	ms.Memory = guard
+	ms.Cluster = desc
 	return ms
 }
 
@@ -83,18 +83,14 @@ func evalSpaces() []cluster.Space {
 // TestEvaluatorBitIdenticalToModelSet is the core compilation contract:
 // Tau returns bit-for-bit the value ModelSet.Estimate returns, and reports
 // unscorable exactly where Estimate errors, over the paper evaluation space and
-// randomized spaces, at several problem sizes, with and without a guard.
+// randomized spaces, at several problem sizes, with and without a cluster
+// descriptor (one tight enough to exclude, fit and fail to place).
 func TestEvaluatorBitIdenticalToModelSet(t *testing.T) {
-	guard := func(cfg cluster.Configuration, n float64) float64 {
-		if n >= 6400 && cfg.TotalProcs() < 2 {
-			return math.Inf(1) // exclude: pretend one node cannot hold it
-		}
-		return 1
-	}
 	for name, ms := range map[string]*ModelSet{
 		"noGuard": richWorld(t, nil),
-		"guarded": richWorld(t, guard),
+		"guarded": richWorld(t, tightDescriptor()),
 	} {
+		excluded := 0
 		for _, n := range []float64{400, 3200, 6400, 9600} {
 			ev := ms.Compile(n)
 			for si, space := range evalSpaces() {
@@ -111,8 +107,14 @@ func TestEvaluatorBitIdenticalToModelSet(t *testing.T) {
 					if ok && tau != want {
 						t.Fatalf("%s space %d n=%v %s: Tau %v, Estimate %v (diff %g)", name, si, n, cfg, tau, want, tau-want)
 					}
+					if ok && math.IsInf(tau, 1) {
+						excluded++
+					}
 				}
 			}
+		}
+		if (excluded > 0) != (ms.Cluster != nil) {
+			t.Fatalf("%s: %d configurations excluded", name, excluded)
 		}
 	}
 }

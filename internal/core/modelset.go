@@ -33,13 +33,13 @@ type ModelSet struct {
 	// AdjustMinM is the per-PE process-count threshold above which the
 	// correction applies (1 = all multi-PE estimates; paper uses 3).
 	AdjustMinM int
-	// Memory, when non-nil, implements the paper's §3.4 memory binning in
+	// Cluster, when non-nil, implements the paper's §3.4 memory binning in
 	// its simplest form: since the memory requirement of each node "can be
-	// predetermined from N and P", configurations predicted not to fit
-	// are excluded (the guard returns +Inf) because no training data
-	// exists in the paging regime. Not serialized; reattach after
-	// loading a model file (see cluster.MemoryGuard).
-	Memory MemoryGuard `json:"-"`
+	// predetermined from N and P", configurations predicted not to fit a
+	// node of the described cluster are excluded (they estimate +Inf)
+	// because no training data exists in the paging regime. Persisted with
+	// the models, so a loaded file answers exactly as the set that wrote it.
+	Cluster *cluster.Descriptor
 	// Bins, when non-nil, holds the training and calibration samples the
 	// models were fitted from, partitioned into (class, M) bins. It is
 	// persisted alongside the models and is what enables incremental
@@ -63,11 +63,6 @@ type Composition struct {
 	TcScale float64 `json:"tcScale"`
 	FitTa   bool    `json:"fitTa,omitempty"`
 }
-
-// MemoryGuard predicts the execution-time multiplier of memory pressure for
-// a configuration at problem size n: 1 when everything fits, +Inf to
-// exclude a configuration whose nodes would page.
-type MemoryGuard func(cfg cluster.Configuration, n float64) float64
 
 // Build assembles a ModelSet from training samples: all N-T models, all
 // directly fittable P-T models.
@@ -286,6 +281,7 @@ func (ms *ModelSet) Estimate(cfg cluster.Configuration, n float64) (float64, err
 	if len(cfg.Use) != ms.Classes {
 		return 0, fmt.Errorf("%w: %d classes in config, model set has %d", ErrNoModel, len(cfg.Use), ms.Classes)
 	}
+	mem := compileMemRule(ms.Cluster, n)
 	total := math.Inf(-1)
 	used := false
 	for ci, u := range cfg.Use {
@@ -297,15 +293,15 @@ func (ms *ModelSet) Estimate(cfg cluster.Configuration, n float64) (float64, err
 		if err != nil {
 			return 0, err
 		}
+		if mem != nil && !mem.fits(ci, u.PEs, u.Procs, cfg.TotalProcs()) {
+			ti = math.Inf(1)
+		}
 		if ti > total {
 			total = ti
 		}
 	}
 	if !used {
 		return 0, fmt.Errorf("%w: empty configuration", ErrNoModel)
-	}
-	if ms.Memory != nil {
-		total *= ms.Memory(cfg, n)
 	}
 	return total, nil
 }
@@ -402,6 +398,11 @@ func (ms *ModelSet) Validate() error {
 	for class := range ms.Adjust {
 		if class < 0 || class >= ms.Classes {
 			return fmt.Errorf("%w: adjustment for class %d outside %d classes", ErrNoModel, class, ms.Classes)
+		}
+	}
+	if ms.Cluster != nil {
+		if err := ms.Cluster.Validate(ms.Classes); err != nil {
+			return fmt.Errorf("%w: %v", ErrNoModel, err)
 		}
 	}
 	for _, c := range ms.Compositions {

@@ -26,7 +26,7 @@ func (ms *ModelSet) Optimize(candidates []cluster.Configuration, n int) (cluster
 // Optimize returns the candidate with the smallest τ at the evaluator's
 // compiled size: a sequential scan where only a strictly smaller τ replaces
 // the incumbent, so ties keep the earliest candidate and unscorable, +Inf
-// (guard-excluded) and NaN candidates never win.
+// (memory-excluded) and NaN candidates never win.
 func (ev *Evaluator) Optimize(candidates []cluster.Configuration) (cluster.Configuration, float64, error) {
 	best, bestTau := -1, math.Inf(1)
 	for i, cfg := range candidates {

@@ -277,7 +277,7 @@ func (ms *ModelSet) Refit(delta SampleDelta) (*ModelSet, *RefitReport, error) {
 		NT:           make(map[Key]*NTModel, len(ms.NT)),
 		PT:           make(map[PTKey]*PTModel, len(ms.PT)),
 		AdjustMinM:   ms.AdjustMinM,
-		Memory:       ms.Memory,
+		Cluster:      ms.Cluster,
 		Bins:         bins,
 		Compositions: append([]Composition(nil), ms.Compositions...),
 	}
@@ -358,7 +358,7 @@ func (ms *ModelSet) RebuildFromBins() (*ModelSet, error) {
 		return nil, err
 	}
 	next.AdjustMinM = ms.AdjustMinM
-	next.Memory = ms.Memory
+	next.Cluster = ms.Cluster
 	next.Bins = ms.Bins
 	next.Compositions = append([]Composition(nil), ms.Compositions...)
 	if err := next.replayCompositions(); err != nil {

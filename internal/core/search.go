@@ -28,12 +28,10 @@ type SearchOptions struct {
 	// can legitimately be barren.
 	Range *IndexRange
 	// Constraints, when non-nil and non-zero, restrict the candidate set to
-	// the configurations Constraints.FilterFunc accepts. On the table path
-	// the walker enforces them structurally: disallowed (class, pair) choices
-	// zero their subtrees, the total-process cap prunes on prefix-P plus
-	// minimum suffix-P, and the per-PE memory bound excludes pairs and
-	// subtrees by exact corner bounds. On the per-candidate fallback path (no
-	// dense tables) they run as the FilterFunc closure itself.
+	// the configurations they admit. The walker enforces them structurally:
+	// disallowed (class, pair) choices zero their subtrees, the total-process
+	// cap prunes on prefix-P plus minimum suffix-P, and the per-PE memory
+	// bound excludes pairs and subtrees by exact corner bounds.
 	Constraints *Constraints
 }
 
@@ -58,10 +56,10 @@ type SearchResult struct {
 	// all-unused configuration excluded); disjoint ranges covering the grid
 	// have Sizes summing to the full search's.
 	Size int64
-	// Scored counts candidates actually visited (including ones the
-	// fallback path's constraint closure or a leaf-level scorability check
-	// rejected); Pruned counts candidates skipped wholesale — by the τ lower
-	// bounds or by structural constraint exclusion. Scored+Pruned == Size
+	// Scored counts candidates actually visited (including ones a leaf-level
+	// scorability check rejected); Pruned counts candidates skipped
+	// wholesale — by the τ lower bounds or by structural constraint
+	// exclusion. Scored+Pruned == Size
 	// always; with multiple workers the split between the two depends on
 	// timing (the results never do).
 	Scored, Pruned int64
@@ -80,11 +78,6 @@ func (ms *ModelSet) OptimizeSpace(space cluster.Space, n int, opts SearchOptions
 	return ms.Compile(float64(n)).Search(grid, opts)
 }
 
-// maxGridTableP bounds the per-(class, M, P) contribution tables: a space
-// whose total process count exceeds this falls back to per-candidate
-// evaluation (still streamed and sharded, but without pruning bounds).
-const maxGridTableP = 1 << 16
-
 // gridTables holds the per-grid dense precomputation the walker reads: for
 // every class and distinct process count M, the class contribution to τ at
 // every achievable total process count P; per (class, pair) the pair's
@@ -93,8 +86,9 @@ const maxGridTableP = 1 << 16
 type gridTables struct {
 	// pw[ci][j] is the process count pair j of class ci contributes to P.
 	pw [][]int
-	// contrib[ci][j][P] is the class contribution; NaN marks "no model".
-	// nil for unused pairs (they contribute nothing). Pairs of one class
+	// contrib[ci][j][P] is the class contribution; NaN marks "no model",
+	// +Inf a scorable entry the §3.4 memory rule excludes. nil for unused
+	// pairs (they contribute nothing). Without such a rule, pairs of one class
 	// with equal Procs share one row: the contribution depends only on
 	// (class, M, P), and a leaf always reads the row at a total P covering
 	// the pair's own process weight, so the rows' low-P entries (below the
@@ -165,18 +159,10 @@ func (ev *Evaluator) compileGrid(grid *cluster.Grid) *gridTables {
 		t.procs[ci] = make([]int, len(pairs))
 		t.strides[ci] = grid.Stride(ci)
 		t.np[ci] = len(pairs)
-		maxPW := 0
 		for j, u := range pairs {
 			t.pw[ci][j] = u.PEs * u.Procs
 			t.procs[ci][j] = u.Procs
-			if t.pw[ci][j] > maxPW {
-				maxPW = t.pw[ci][j]
-			}
 		}
-		t.maxP += maxPW
-	}
-	if t.maxP > maxGridTableP {
-		return nil
 	}
 	// The suffix process-count envelopes need only the pair weights, and the
 	// rows pass below needs them to size each class's lookahead window.
@@ -195,6 +181,7 @@ func (ev *Evaluator) compileGrid(grid *cluster.Grid) *gridTables {
 		t.sufMinP[ci] = t.sufMinP[ci+1] + minPW
 		t.sufMaxP[ci] = t.sufMaxP[ci+1] + maxPW
 	}
+	t.maxP = t.sufMaxP[0]
 	// windowMin's deque and NaN-clean scratch are sized once and shared by
 	// every row: each call fully overwrites what it reads.
 	winScratch := make([]float64, t.maxP+1)
@@ -213,7 +200,9 @@ func (ev *Evaluator) compileGrid(grid *cluster.Grid) *gridTables {
 		// One row per distinct M, shared by every pair running M processes
 		// per PE; each pair's lb is the row's suffix minimum at the pair's
 		// own process weight (the smallest P a candidate using it can have),
-		// and its windowed minima span the later classes' weight spread.
+		// and its windowed minima span the later classes' weight spread. A
+		// memory rule also reads how the pair's PEs spread over the nodes, so
+		// under one every pair, a distinct (PEs, M), compiles its own row.
 		width := t.sufMaxP[ci+1] - t.sufMinP[ci+1]
 		rows := make([][]float64, maxM+1)
 		mins := make([][]float64, maxM+1)
@@ -223,8 +212,8 @@ func (ev *Evaluator) compileGrid(grid *cluster.Grid) *gridTables {
 				t.lb[ci][j] = math.Inf(-1)
 				continue
 			}
-			if rows[u.Procs] == nil {
-				rows[u.Procs], mins[u.Procs] = ev.compileRow(ci, u.Procs, t.maxP)
+			if rows[u.Procs] == nil || ev.mem != nil {
+				rows[u.Procs], mins[u.Procs] = ev.compileRow(ci, u.PEs, u.Procs, t.maxP)
 				wins[u.Procs] = windowMin(rows[u.Procs], width, winScratch, winDeque)
 			}
 			t.contrib[ci][j] = rows[u.Procs]
@@ -248,15 +237,15 @@ func (ev *Evaluator) compileGrid(grid *cluster.Grid) *gridTables {
 		for q := range col {
 			col[q] = inf
 		}
-		// Pair-major accumulation: each pair folds its shifted winmin row
-		// into col with a branch-free reachability bound (q + pw <= maxP
-		// becomes the loop limit), instead of re-testing every pair per q.
+		// Pair-major accumulation: each pair folds its winmin row, shifted by
+		// its weight, into col — the reachability bound (q + pw <= maxP) is
+		// the shifted row's length — instead of re-testing every pair per q.
 		for j := fnz; j < len(t.winmin[ci]); j++ {
-			wm := t.winmin[ci][j]
-			pwj := t.pw[ci][j]
-			for q := 0; q+pwj <= t.maxP; q++ {
-				if v := wm[q+pwj]; v < col[q] {
-					col[q] = v
+			wm := t.winmin[ci][j][t.pw[ci][j]:]
+			c := col[:len(wm)]
+			for q, v := range wm {
+				if v < c[q] {
+					c[q] = v
 				}
 			}
 		}
@@ -425,12 +414,14 @@ func seedThreshold(t *gridTables, s *seedScratch, k int, shared *parallel.Shared
 
 // compileRow fills the dense contribution row of one (class, M) bin over
 // P in [0, maxP] — NaN below M and wherever the model has no entry, the
-// N-T estimate at P == M, the P-T formula beyond — plus the row's suffix
+// N-T estimate at P == M, the P-T formula beyond, +Inf wherever the memory
+// rule says pes PEs of the class overflow a node — plus the row's suffix
 // minima (min over q >= p, NaN ignored, +Inf when empty), from which each
 // pair sharing the row derives its lower bound. The P-T coefficients are
 // hoisted out of the loop; the per-entry arithmetic is classTau's exact
-// operation sequence, so rows are bit-identical to per-candidate scoring.
-func (ev *Evaluator) compileRow(class, m, maxP int) (row, sufMin []float64) {
+// operation sequence and the exclusions are Tau's own fits calls, so rows
+// are bit-identical to per-candidate scoring.
+func (ev *Evaluator) compileRow(class, pes, m, maxP int) (row, sufMin []float64) {
 	row = make([]float64, maxP+1)
 	for p := range row {
 		row[p] = math.NaN()
@@ -455,6 +446,13 @@ func (ev *Evaluator) compileRow(class, m, maxP int) (row, sufMin []float64) {
 			}
 		}
 	}
+	if ev.mem != nil {
+		for p := m; p <= maxP; p++ {
+			if !math.IsNaN(row[p]) && !ev.mem.fits(class, pes, m, p) {
+				row[p] = math.Inf(1)
+			}
+		}
+	}
 	sufMin = make([]float64, maxP+2)
 	min := math.Inf(1)
 	sufMin[maxP+1] = min
@@ -468,7 +466,7 @@ func (ev *Evaluator) compileRow(class, m, maxP int) (row, sufMin []float64) {
 }
 
 // gridTablesEntry is the one-slot cache mapping a grid (by pointer) to its
-// compiled tables; t is nil when the grid exceeds maxGridTableP.
+// compiled tables.
 type gridTablesEntry struct {
 	grid *cluster.Grid
 	t    *gridTables
@@ -599,32 +597,22 @@ func (ev *Evaluator) search(grid *cluster.Grid, opts SearchOptions, r *Reusable,
 		clear(r.walkers)
 	}
 
-	// A memory guard makes τ depend on the whole configuration, not just
-	// the (class, M, P) tables — guarded evaluators, like grids beyond
-	// maxGridTableP, take the per-candidate path: no tables, no bounds, the
-	// constraints as their defining closure.
-	job := searchJob{emptyIdx: emptyIdx}
-	if ev.guard == nil {
-		job.t = ev.tables(grid)
-	}
+	t := ev.tables(grid)
+	var cons *conPlan
 	if c := opts.Constraints; !c.zero() {
-		if job.t == nil {
-			job.pred = c.FilterFunc(ev.n, classes)
-		} else {
-			if r.plan == nil || !r.cons.equal(c) {
-				r.plan = c.compile(grid, job.t, ev.n)
-				r.cons = Constraints{
-					Classes:       append(r.cons.Classes[:0], c.Classes...),
-					MaxTotalProcs: c.MaxTotalProcs,
-					MaxBytesPerPE: c.MaxBytesPerPE,
-				}
+		if r.plan == nil || !r.cons.equal(c) {
+			r.plan = c.compile(grid, t, ev.n)
+			r.cons = Constraints{
+				Classes:       append(r.cons.Classes[:0], c.Classes...),
+				MaxTotalProcs: c.MaxTotalProcs,
+				MaxBytesPerPE: c.MaxBytesPerPE,
 			}
-			job.cons = r.plan
 		}
+		cons = r.plan
 	}
 	r.shared.Reset()
-	if job.t != nil && job.cons == nil && rlo == 0 && rhi == grid.Size() {
-		seedThreshold(job.t, &r.seed, k, &r.shared)
+	if cons == nil && rlo == 0 && rhi == grid.Size() {
+		seedThreshold(t, &r.seed, k, &r.shared)
 	}
 
 	span := rhi - rlo
@@ -637,17 +625,17 @@ func (ev *Evaluator) search(grid *cluster.Grid, opts SearchOptions, r *Reusable,
 	}
 	for _, w := range r.walkers {
 		if w != nil {
-			w.reset(job)
+			w.reset(t, cons, emptyIdx)
 		}
 	}
 	if nw == 1 {
-		r.walker(0, job).run(rlo, rhi)
+		r.walker(0, t, cons, emptyIdx).walk(rlo, rhi)
 	} else {
 		// Aim for enough chunks per worker that pruning imbalance
 		// load-balances, without making chunk claiming the bottleneck.
 		chunk := max(span/int64(nw*64), 1024)
 		parallel.Chunks(span, chunk, nw, func(wi int, lo, hi int64) {
-			r.walker(wi, job).run(rlo+lo, rlo+hi)
+			r.walker(wi, t, cons, emptyIdx).walk(rlo+lo, rlo+hi)
 		})
 	}
 
@@ -700,35 +688,28 @@ func barren(res SearchResult, ranged bool) (SearchResult, error) {
 
 // walker returns worker wi's walker, building it on first use. Workers that
 // never claim a chunk never allocate one.
-func (r *Reusable) walker(wi int, job searchJob) *walker {
+func (r *Reusable) walker(wi int, t *gridTables, cons *conPlan, emptyIdx int64) *walker {
 	w := r.walkers[wi]
 	if w == nil {
-		w = newWalker(r.ev, r.grid, r.k, &r.shared)
-		w.reset(job)
+		w = newWalker(r.grid, r.k, &r.shared)
+		w.reset(t, cons, emptyIdx)
 		r.walkers[wi] = w
 	}
 	return w
 }
 
-// searchJob is what one search hands every walker: the grid tables (nil on
-// the per-candidate fallback path), the compiled constraint plan the table
-// path enforces structurally, the constraint closure the fallback path calls
-// instead, and the grid index of the all-unused configuration (-1 if none).
-type searchJob struct {
+// walker is one worker's reusable search kernel: the iterative odometer's
+// per-depth accumulators, the stack of contribution rows chosen so far and
+// the worker-private top-K selection. A walker is built once per worker and
+// reused across every chunk the worker claims, so the steady-state walk
+// allocates nothing.
+type walker struct {
+	// One search's grid tables, compiled constraint plan (nil when
+	// unconstrained) and all-unused configuration's grid index (-1 if none).
 	t        *gridTables
 	cons     *conPlan
-	pred     func(cfg cluster.Configuration) bool
 	emptyIdx int64
-}
 
-// walker is one worker's reusable search kernel: the iterative odometer's
-// per-depth accumulators, the stack of contribution rows chosen so far, the
-// worker-private top-K selection, and the scratch configuration the fallback
-// path decodes into. A walker is built once per worker and reused across
-// every chunk the worker claims, so the steady-state walk allocates nothing.
-type walker struct {
-	searchJob
-	ev     *Evaluator
 	grid   *cluster.Grid
 	topk   *parallel.TopK
 	shared *parallel.SharedThreshold
@@ -751,15 +732,14 @@ type walker struct {
 	// a node-entry colmin check wholesale-pruned the class's scorable pairs.
 	nlim []int
 	rows [][]float64
-	cfg  cluster.Configuration // scanRange's decode scratch; Use is nil until needed
 
 	scored, pruned int64
 }
 
-func newWalker(ev *Evaluator, grid *cluster.Grid, k int, shared *parallel.SharedThreshold) *walker {
+func newWalker(grid *cluster.Grid, k int, shared *parallel.SharedThreshold) *walker {
 	classes := grid.Classes()
 	return &walker{
-		ev: ev, grid: grid, topk: parallel.NewTopK(k), shared: shared,
+		grid: grid, topk: parallel.NewTopK(k), shared: shared,
 		digits: make([]int, classes+1),
 		ibase:  make([]int64, classes+1),
 		prefP:  make([]int, classes+1),
@@ -772,23 +752,10 @@ func newWalker(ev *Evaluator, grid *cluster.Grid, k int, shared *parallel.Shared
 }
 
 // reset readies the walker for one search.
-func (w *walker) reset(job searchJob) {
-	w.searchJob = job
+func (w *walker) reset(t *gridTables, cons *conPlan, emptyIdx int64) {
+	w.t, w.cons, w.emptyIdx = t, cons, emptyIdx
 	w.topk.Reset()
 	w.scored, w.pruned = 0, 0
-	if job.t == nil && w.cfg.Use == nil {
-		w.cfg.Use = make([]cluster.ClassUse, w.grid.Classes())
-	}
-}
-
-// run searches the grid indices in [lo, hi): the pruned odometer walk over
-// the dense tables, or the per-candidate scan when the search has none.
-func (w *walker) run(lo, hi int64) {
-	if w.t != nil {
-		w.walk(lo, hi)
-	} else {
-		w.scanRange(lo, hi)
-	}
 }
 
 // walk streams the grid indices in [lo, hi) in ascending order: a flat
@@ -798,13 +765,13 @@ func (w *walker) run(lo, hi int64) {
 // when disjoint from the range, structurally excluded by the constraints,
 // or bounded strictly worse than the shared top-K threshold. Every skip is
 // exact: structural exclusions remove exactly the
-// candidates the constraint closure rejects (corner bounds are justified by
-// the weak monotonicity of IEEE division and multiplication, leaf checks
-// evaluate the closure's own float expressions), and bound pruning uses
+// candidates the constraints exclude (corner bounds are justified by the
+// weak monotonicity of IEEE division and multiplication, leaf checks
+// evaluate the caps' defining float expressions), and bound pruning uses
 // strict compares against a threshold that is always an upper bound on the
 // global k-th best, so it can never drop a tie. The surviving (τ, index)
 // ranking — and therefore the merged result — is the brute-force ranking of
-// the FilterFunc-accepted candidates, at any worker count.
+// the admitted candidates, at any worker count.
 //
 //het:hotpath
 //het:allocfree
@@ -1125,8 +1092,8 @@ pairLoop:
 				if pr := procRow[j]; pr > mm {
 					mm = pr
 				}
-				// The closure's own expression on its own operands, so the
-				// accept/reject decision is bit-identical to FilterFunc.
+				// The cap's defining expression on the candidate's own
+				// operands, so the decision is bit-identical to a plain filter.
 				if mm > 0 && cons.mat/float64(p)*float64(mm) > cons.memCap {
 					w.pruned++
 					continue
@@ -1186,30 +1153,5 @@ func (w *walker) skipSpan(s, e, lo, hi int64) {
 	w.pruned += e - s
 	if s <= w.emptyIdx && w.emptyIdx < e {
 		w.pruned--
-	}
-}
-
-// scanRange is the per-candidate fallback for grids without dense tables
-// (memory-guarded evaluators, or total P beyond maxGridTableP): decode each
-// index, apply the constraint closure, score through the compiled formulas.
-// No pruning bounds.
-//
-//het:hotpath
-func (w *walker) scanRange(lo, hi int64) {
-	use := w.cfg.Use
-	for idx := lo; idx < hi; idx++ {
-		if idx == w.emptyIdx {
-			continue
-		}
-		w.grid.At(idx, use)
-		w.scored++
-		if w.pred != nil && !w.pred(w.cfg) {
-			continue
-		}
-		if tau, ok := w.ev.Tau(w.cfg); ok {
-			if w.topk.Offer(idx, tau) {
-				w.shared.Update(w.topk.Threshold())
-			}
-		}
 	}
 }

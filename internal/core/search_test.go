@@ -84,40 +84,47 @@ func TestOptimizeSpaceMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestSearchAccounting checks Size/Scored/Pruned bookkeeping: the
-// per-candidate fallback path (here via a memory guard) has no bounds and
-// visits everything, the pruned table path visits no more, and both agree
-// on the space size.
+// TestSearchAccounting checks Size/Scored/Pruned bookkeeping, with and
+// without a cluster descriptor: a search asked for every candidate never
+// gets a finite threshold and visits everything, the winner-only search
+// prunes and visits no more, and both agree on the space size and the
+// winner.
 func TestSearchAccounting(t *testing.T) {
 	space := cluster.PaperEvaluationSpace()
 	cfgs, err := space.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	noop := func(cluster.Configuration, float64) float64 { return 1 }
-	full, err := richWorld(t, noop).OptimizeSpace(space, 6400, SearchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	ranked := map[string]int{}
+	for name, ms := range map[string]*ModelSet{"plain": richWorld(t, nil), "guarded": richWorld(t, tightDescriptor())} {
+		full, err := ms.OptimizeSpace(space, 6400, SearchOptions{Workers: 1, TopK: len(cfgs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Size != int64(len(cfgs)) {
+			t.Fatalf("%s: Size = %d, enumerate found %d", name, full.Size, len(cfgs))
+		}
+		if full.Scored != full.Size || full.Pruned != 0 {
+			t.Fatalf("%s: unpruned search scored %d / pruned %d of %d", name, full.Scored, full.Pruned, full.Size)
+		}
+		ranked[name] = len(full.Best)
+		pruned, err := ms.OptimizeSpace(space, 6400, SearchOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pruned.Size != full.Size || pruned.Scored+pruned.Pruned != pruned.Size {
+			t.Fatalf("%s: pruned search accounts %d+%d of %d (full size %d)", name, pruned.Scored, pruned.Pruned, pruned.Size, full.Size)
+		}
+		if pruned.Pruned == 0 || pruned.Scored > full.Scored {
+			t.Fatalf("%s: pruning skipped %d and scored %d of %d", name, pruned.Pruned, pruned.Scored, full.Scored)
+		}
+		if pruned.Best[0].Tau != full.Best[0].Tau || pruned.BestIndex[0] != full.BestIndex[0] {
+			t.Fatalf("%s: searches disagree on the winner: (%d, %v) vs (%d, %v)", name,
+				pruned.BestIndex[0], pruned.Best[0].Tau, full.BestIndex[0], full.Best[0].Tau)
+		}
 	}
-	if full.Size != int64(len(cfgs)) {
-		t.Fatalf("Size = %d, enumerate found %d", full.Size, len(cfgs))
-	}
-	if full.Scored != full.Size || full.Pruned != 0 {
-		t.Fatalf("unpruned search scored %d / pruned %d of %d", full.Scored, full.Pruned, full.Size)
-	}
-	pruned, err := richWorld(t, nil).OptimizeSpace(space, 6400, SearchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned.Size != full.Size || pruned.Scored+pruned.Pruned != pruned.Size {
-		t.Fatalf("pruned search accounts %d+%d of %d (fallback size %d)", pruned.Scored, pruned.Pruned, pruned.Size, full.Size)
-	}
-	if pruned.Pruned == 0 || pruned.Scored > full.Scored {
-		t.Fatalf("pruning skipped %d and scored %d of %d", pruned.Pruned, pruned.Scored, full.Scored)
-	}
-	if pruned.Best[0].Tau != full.Best[0].Tau || pruned.BestIndex[0] != full.BestIndex[0] {
-		t.Fatalf("paths disagree on the winner: (%d, %v) vs (%d, %v)",
-			pruned.BestIndex[0], pruned.Best[0].Tau, full.BestIndex[0], full.Best[0].Tau)
+	if ranked["guarded"] == 0 || ranked["guarded"] >= ranked["plain"] {
+		t.Fatalf("the descriptor excluded nothing or everything: %v candidates ranked", ranked)
 	}
 }
 
@@ -164,22 +171,23 @@ func TestOptimizeSpaceNoScorable(t *testing.T) {
 	}
 }
 
-// TestOptimizeSpaceGuardedFallsBackUnpruned: a memory guard makes τ depend
-// on more than the (class, M, P) tables, so the pruned path must be
-// disabled — and results must still match the reference.
+// TestOptimizeSpaceGuardedMatchesReference: a cluster descriptor makes τ
+// depend on how a pair's ranks land on its nodes, not just on (class, M, P);
+// the tables carry that as +Inf entries, so the search still prunes — and
+// the results must still match the enumerate-then-sort reference.
 func TestOptimizeSpaceGuardedMatchesReference(t *testing.T) {
-	guard := func(cfg cluster.Configuration, n float64) float64 {
-		if cfg.TotalProcs() > 8 {
-			return 2 // penalize rather than exclude, to stress ordering
-		}
-		return 1
-	}
-	ms := richWorld(t, guard)
+	ms := richWorld(t, tightDescriptor())
 	space := cluster.PaperEvaluationSpace()
 	want := groundTruthTopK(t, ms, space, 6400, 2)
+	if plain := groundTruthTopK(t, richWorld(t, nil), space, 6400, 2); want[0].Config.Key() == plain[0].Config.Key() {
+		t.Fatalf("vacuous: the descriptor does not move the winner %s", plain[0].Config)
+	}
 	res, err := ms.OptimizeSpace(space, 6400, SearchOptions{TopK: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Pruned == 0 {
+		t.Fatal("descriptor-bearing search pruned nothing")
 	}
 	for i := range want {
 		if res.Best[i].Tau != want[i].Tau || res.Best[i].Config.Key() != want[i].Config.Key() {

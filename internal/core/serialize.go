@@ -5,14 +5,16 @@ import (
 	"fmt"
 	"os"
 
+	"hetmodel/internal/cluster"
 	"hetmodel/internal/stats"
 )
 
 // modelSetJSON is the stable on-disk representation of a ModelSet (maps
 // keyed by structs are flattened into entry lists). The bins, calibration
-// and compositions sections carry the incremental-refit state; all three are
-// omitempty, so files written before refit existed — and models built
-// without bins — keep their exact byte representation.
+// and compositions sections carry the incremental-refit state and the cluster
+// section the §3.4 memory rule; all four are omitempty, so files written
+// before they existed — and models built without them — keep their exact
+// byte representation.
 type modelSetJSON struct {
 	Version      int                            `json:"version"`
 	Classes      int                            `json:"classes"`
@@ -20,6 +22,7 @@ type modelSetJSON struct {
 	PT           []*PTModel                     `json:"pt"`
 	Adjust       map[int]*stats.LinearTransform `json:"adjust,omitempty"`
 	AdjustMinM   int                            `json:"adjustMinM"`
+	Cluster      *cluster.Descriptor            `json:"cluster,omitempty"`
 	Compositions []Composition                  `json:"compositions,omitempty"`
 	Bins         []binJSON                      `json:"bins,omitempty"`
 	Calibration  []StoredSample                 `json:"calibration,omitempty"`
@@ -41,6 +44,7 @@ func (ms *ModelSet) MarshalJSON() ([]byte, error) {
 		Classes:      ms.Classes,
 		Adjust:       ms.Adjust,
 		AdjustMinM:   ms.AdjustMinM,
+		Cluster:      ms.Cluster,
 		Compositions: ms.Compositions,
 	}
 	for _, k := range ms.Keys() {
@@ -79,6 +83,7 @@ func (ms *ModelSet) UnmarshalJSON(data []byte) error {
 	ms.Classes = in.Classes
 	ms.Adjust = in.Adjust
 	ms.AdjustMinM = in.AdjustMinM
+	ms.Cluster = in.Cluster
 	ms.NT = make(map[Key]*NTModel, len(in.NT))
 	for _, m := range in.NT {
 		if m == nil || len(m.TaCoeff) != len(taDegrees) || len(m.TcCoeff) != len(tcDegrees) {

@@ -4,20 +4,31 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"hetmodel/internal/cluster"
 )
 
 // TestSerializeRoundTrip: save → load → Validate → save again is byte-stable
-// and the reloaded model answers estimates identically. Byte stability is
-// what lets the committed model fixtures diff cleanly across regenerations.
+// and the reloaded model answers estimates identically, with and without a
+// cluster descriptor. Byte stability is what lets the committed model
+// fixtures diff cleanly across regenerations.
 func TestSerializeRoundTrip(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { testSerializeRoundTrip(t, nil) })
+	t.Run("cluster", func(t *testing.T) { testSerializeRoundTrip(t, tightDescriptor()) })
+}
+
+func testSerializeRoundTrip(t *testing.T, desc *cluster.Descriptor) {
 	ms, err := Build(2, twoClassWorld())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ms.Cluster = desc
 	first, err := json.Marshal(ms)
 	if err != nil {
 		t.Fatal(err)
@@ -37,8 +48,12 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Error("serialization is not byte-stable across a round trip")
 	}
+	if !reflect.DeepEqual(loaded.Cluster, desc) || bytes.Contains(first, []byte(`"cluster"`)) != (desc != nil) {
+		t.Errorf("descriptor %+v round-tripped to %+v in %d bytes", desc, loaded.Cluster, len(first))
+	}
 
-	for _, n := range []float64{400, 1600, 3200} {
+	excluded := 0
+	for _, n := range []float64{400, 1600, 3200, 6400} {
 		for _, cfg := range []int{0, 1} {
 			use := twoClassWorld()[cfg].Config
 			want, errW := ms.Estimate(use, n)
@@ -47,7 +62,13 @@ func TestSerializeRoundTrip(t *testing.T) {
 				t.Errorf("N=%v cfg=%v: loaded model estimates %v (%v), want %v (%v)",
 					n, use, got, errG, want, errW)
 			}
+			if math.IsInf(got, 1) {
+				excluded++
+			}
 		}
+	}
+	if (excluded > 0) != (desc != nil) {
+		t.Errorf("loaded model excludes %d probes", excluded)
 	}
 }
 
@@ -100,8 +121,9 @@ func TestSerializeBinnedRoundTrip(t *testing.T) {
 	if !bytes.Equal(first, third) {
 		t.Error("rebuild from loaded bins does not reproduce the saved model")
 	}
-	// A binless model must keep its pre-refit byte representation: the three
-	// refit sections are omitempty, so old fixtures stay diff-clean.
+	// A binless, descriptor-less model must keep its original byte
+	// representation: the later sections are omitempty, so old files stay
+	// diff-clean.
 	plain, err := Build(2, twoClassWorld())
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +132,7 @@ func TestSerializeBinnedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{`"bins"`, `"calibration"`, `"compositions"`} {
+	for _, field := range []string{`"bins"`, `"calibration"`, `"compositions"`, `"cluster"`} {
 		if bytes.Contains(data, []byte(field)) {
 			t.Errorf("binless model serializes %s", field)
 		}
@@ -196,11 +218,34 @@ func TestLoadModelSetFile(t *testing.T) {
 		}
 		return data
 	}
+	// withCluster attaches a raw "cluster" section to the valid file.
+	withCluster := func(nodes, rankBytes string) []byte {
+		return corrupt(func(m map[string]json.RawMessage) {
+			m["cluster"] = json.RawMessage(`{"nodes":` + nodes + `,"rankBytes":` + rankBytes + `}`)
+		})
+	}
+	const (
+		goodNodes = `[[{"cpus":1,"memoryBytes":1e9}],[{"cpus":2,"memoryBytes":5e8},{"cpus":2,"memoryBytes":5e8}]]`
+		goodRank  = `{"n2OverP":8,"n":512,"fixed":1e6}`
+	)
+	if _, err := LoadModelSetFile(write("cluster.json", withCluster(goodNodes, goodRank))); err != nil {
+		t.Fatalf("valid descriptor rejected: %v", err)
+	}
 	cases := []struct {
 		name string
 		data []byte
 		want string
 	}{
+		{"descriptor class count", withCluster(`[[{"cpus":1,"memoryBytes":1e9}]]`, goodRank), "1 classes"},
+		{"descriptor empty class", withCluster(`[[{"cpus":1,"memoryBytes":1e9}],[]]`, goodRank), "no nodes"},
+		{"descriptor zero cpus", withCluster(`[[{"cpus":0,"memoryBytes":1e9}],[{"cpus":2,"memoryBytes":5e8}]]`, goodRank), "0 cpus"},
+		{"descriptor negative cpus", withCluster(`[[{"cpus":-4,"memoryBytes":1e9}],[{"cpus":2,"memoryBytes":5e8}]]`, goodRank), "-4 cpus"},
+		{"descriptor missing memory", withCluster(`[[{"cpus":1}],[{"cpus":2,"memoryBytes":5e8}]]`, goodRank), "memoryBytes 0"},
+		{"descriptor negative memory", withCluster(`[[{"cpus":1,"memoryBytes":-5e8}],[{"cpus":2,"memoryBytes":5e8}]]`, goodRank), "memoryBytes -5e+08"},
+		{"descriptor infinite memory", withCluster(`[[{"cpus":1,"memoryBytes":1e999}],[{"cpus":2,"memoryBytes":5e8}]]`, goodRank), "parse"},
+		{"descriptor cpu total over the cap", withCluster(`[[{"cpus":1,"memoryBytes":1e9}],[{"cpus":65535,"memoryBytes":5e8},{"cpus":2,"memoryBytes":5e8}]]`, goodRank), "a class holds 1 to 65536"},
+		{"descriptor negative coefficient", withCluster(goodNodes, `{"n2OverP":8,"n":-512,"fixed":1e6}`), "rankBytes"},
+		{"descriptor infinite coefficient", withCluster(goodNodes, `{"n2OverP":1e999,"n":512,"fixed":1e6}`), "parse"},
 		{"truncated", good[:len(good)/2], "parse"},
 		{"not json", []byte("pe classes go brrr"), "parse"},
 		{"wrong version", corrupt(func(m map[string]json.RawMessage) {

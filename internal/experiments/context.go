@@ -169,18 +169,18 @@ func (c *Context) BuildModel(camp measure.Campaign) (*BuiltModel, error) {
 	ms.Bins = core.NewBinStore(res.Samples, calib)
 	// Memory binning (§3.4): exclude configurations whose predetermined
 	// per-node requirement exceeds physical memory — no training data
-	// exists in the paging regime.
-	nb := c.Params.NB
-	if nb == 0 {
-		nb = hpl.DefaultNB
+	// exists in the paging regime. The models carry the rule as data: each
+	// class's nodes and HPL's per-rank 8·N²/P + 8·NB·N + workspace bytes.
+	params := hpl.FillDefaults(c.Params)
+	ms.Cluster = &cluster.Descriptor{
+		Nodes:     make([][]cluster.NodeSpec, len(c.Cluster.Classes)),
+		RankBytes: cluster.RankBytes{N2OverP: 8, N: 8 * float64(params.NB), Fixed: params.WorkspaceBytes},
 	}
-	ws := c.Params.WorkspaceBytes
-	if ws == 0 {
-		ws = hpl.DefaultWorkspaceBytes
+	for ci, class := range c.Cluster.Classes {
+		for _, node := range class.Nodes {
+			ms.Cluster.Nodes[ci] = append(ms.Cluster.Nodes[ci], cluster.NodeSpec{CPUs: node.CPUs, MemoryBytes: node.MemoryBytes})
+		}
 	}
-	ms.Memory = c.Cluster.MemoryGuard(func(n float64) float64 {
-		return 8*n*float64(nb) + ws
-	})
 	return &BuiltModel{Campaign: camp, Result: res, Models: ms, TaScale: taScale}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -70,12 +71,33 @@ func newTestPlanner(tb testing.TB, opts Options) (*Planner, *core.ModelSet) {
 	return p, ms
 }
 
+// admits spells the constraints' semantics out as a plain predicate: only
+// allowed classes in use, total P within the cap, and the per-PE resident set
+// 8·N²/P·max Mi within the memory cap.
+func (c Constraints) admits(cfg cluster.Configuration, n float64) bool {
+	p, maxM := 0, 0
+	for ci, u := range cfg.Use {
+		if u.PEs <= 0 || u.Procs <= 0 {
+			continue
+		}
+		if len(c.Classes) > 0 && !slices.Contains(c.Classes, ci) {
+			return false
+		}
+		p += u.PEs * u.Procs
+		maxM = max(maxM, u.Procs)
+	}
+	if c.MaxTotalProcs > 0 && p > c.MaxTotalProcs {
+		return false
+	}
+	return c.MaxBytesPerPE <= 0 || p == 0 || 8*n*n/float64(p)*float64(maxM) <= c.MaxBytesPerPE
+}
+
 // bruteForce is the oracle every parity test in this package compares the
 // planner against, written with nothing the search kernel uses: visit every
 // point of the space's grid, drop the all-unused configuration and whatever
-// the constraints' defining FilterFunc closure rejects, score the rest one
-// by one through Evaluator.Tau, and keep the k best by (τ, grid index). size
-// is the grid's candidate count, what Result.Size must report.
+// the constraints do not admit, score the rest one by one through
+// Evaluator.Tau, and keep the k best by (τ, grid index). size is the grid's
+// candidate count, what Result.Size must report.
 func bruteForce(tb testing.TB, ms *core.ModelSet, space cluster.Space, n, k int, cons Constraints) (best []core.Estimate, size int64) {
 	tb.Helper()
 	grid, err := space.Compile()
@@ -86,14 +108,13 @@ func bruteForce(tb testing.TB, ms *core.ModelSet, space cluster.Space, n, k int,
 		k = 1
 	}
 	ev := ms.Compile(float64(n))
-	accept := cons.Core().FilterFunc(float64(n), ms.Classes)
 	tk := parallel.NewTopK(k)
 	grid.Visit(func(idx int64, cfg cluster.Configuration) bool {
 		if cfg.TotalProcs() == 0 {
 			return true
 		}
 		size++
-		if accept == nil || accept(cfg) {
+		if cons.admits(cfg, float64(n)) {
 			if tau, ok := ev.Tau(cfg); ok {
 				tk.Offer(idx, tau)
 			}

@@ -5,7 +5,9 @@
 #
 #   1. Scatter parity — the router's merged ranked answers are byte-identical
 #      (full-precision JSON) to a member searching the whole grid, and match
-#      hetopt to its printed precision.
+#      hetopt to its printed precision — also at N = 16000, where the §3.4
+#      memory rule excludes 42 of the 62 candidates and hetopt on the model
+#      file must print exactly what hetopt on a fresh campaign prints.
 #   2. Kill-one-member retry — with a member down, the dead range re-scatters
 #      across the survivors and the answer bytes do not change.
 #   3. Coordinated reload — the two-phase fleet reload moves every member's
@@ -24,6 +26,8 @@ P1=$BASE; P2=$((BASE + 1)); P3=$((BASE + 2)); RPORT=$((BASE + 3))
 MODEL=cmd/hetserve/testdata/model_nl.json
 N=9600
 TOPK=7
+N_MEM=16000
+TOPK_MEM=3
 BIN=$(mktemp -d)
 # Every spawned server appends its PID; the trap kills whatever is still up.
 PIDS=""
@@ -62,13 +66,15 @@ curl -fsS "http://127.0.0.1:$RPORT/v1/healthz"
 
 echo "== scatter parity: router vs whole-grid member vs hetopt"
 "$BIN/hetopt" -model "$MODEL" -n "$N" -topk "$TOPK" | tee "$BIN/direct.txt"
-grep -Eo '\([0-9,]+\) +tau = [0-9.]+' "$BIN/direct.txt" > "$BIN/direct.pairs"
-[ -s "$BIN/direct.pairs" ] || { echo "FAIL: no candidates in hetopt output" >&2; exit 1; }
 curl -fsS "http://127.0.0.1:$RPORT/v1/topk?n=$N&topk=$TOPK" > "$BIN/router_topk.json"
 curl -fsS "http://127.0.0.1:$P1/v1/topk?n=$N&topk=$TOPK" > "$BIN/member_topk.json"
 
+# check_parity ROUTER_JSON MEMBER_JSON [HETOPT_TXT TOPK]: the router's ranked
+# list is byte-identical to the whole-grid member's and matches hetopt's.
 check_parity() {
-	python3 - "$BIN" "$TOPK" "$1" "$2" <<'EOF'
+	grep -Eo '\([0-9,]+\) +tau = [0-9.]+' "$BIN/${3:-direct.txt}" > "$BIN/direct.pairs"
+	[ -s "$BIN/direct.pairs" ] || { echo "FAIL: no candidates in hetopt output" >&2; exit 1; }
+	python3 - "$BIN" "${4:-$TOPK}" "$1" "$2" <<'EOF'
 import json, re, sys
 bin_dir, topk, router_file, member_file = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
 
@@ -87,15 +93,32 @@ for line in open(f"{bin_dir}/direct.pairs"):
     m = re.match(r"(\([0-9,]+\)) +tau = ([0-9.]+)", line.strip())
     direct.append((m.group(1), float(m.group(2))))
 served = [(c["config"], c["tau"]) for c in a["best"]]
+if len(direct) != topk:
+    sys.exit(f"FAIL: hetopt printed {len(direct)} candidates, want {topk}")
 for i, ((dc, dt), (sc, st)) in enumerate(zip(direct, served)):
     # hetopt prints tau rounded to one decimal: configs exact, taus to the
     # printed precision.
     if dc != sc or abs(dt - st) > 0.05:
         sys.exit(f"FAIL: rank {i+1}: hetopt {dc} tau={dt}, router {sc} tau={st}")
-print(f"OK: router merge is byte-identical to the whole-grid search on {topk} candidates")
+print(f"OK: router merge is byte-identical to the whole-grid search on {topk} candidates at N={a['n']}")
 EOF
 }
 check_parity router_topk.json member_topk.json
+
+echo "== memory rule at N=$N_MEM: pipeline, model file and fleet give one answer"
+"$BIN/hetopt" -model "$MODEL" -n "$N_MEM" -topk "$TOPK_MEM" | tee "$BIN/mem.txt"
+"$BIN/hetopt" -campaign nl -n "$N_MEM" -topk "$TOPK_MEM" > "$BIN/mem_campaign.txt"
+diff -u "$BIN/mem_campaign.txt" "$BIN/mem.txt" || {
+	echo "FAIL: hetopt -model and hetopt -campaign nl disagree at N=$N_MEM" >&2
+	exit 1
+}
+grep -q '^ *1\. (1,3,8,1) ' "$BIN/mem.txt" || {
+	echo "FAIL: N=$N_MEM winner is not (1,3,8,1): the memory rule did not travel with the model file" >&2
+	exit 1
+}
+curl -fsS "http://127.0.0.1:$RPORT/v1/topk?n=$N_MEM&topk=$TOPK_MEM" > "$BIN/router_mem.json"
+curl -fsS "http://127.0.0.1:$P1/v1/topk?n=$N_MEM&topk=$TOPK_MEM" > "$BIN/member_mem.json"
+check_parity router_mem.json member_mem.json mem.txt "$TOPK_MEM"
 
 echo "== coordinated reload: every member moves together"
 curl -fsS -X POST -H 'Content-Type: application/json' \
