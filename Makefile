@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt lint test race bench bench-json bench-compare serve serve-smoke router-smoke load-smoke saturation cover ci
+.PHONY: all build vet fmt lint test race bench benchmark serve serve-smoke router-smoke load-smoke saturation cover ci
 
 all: build test
 
@@ -55,18 +55,12 @@ race:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Run the tracked suite (internal/bench) and write a JSON report with
-# speedups against the committed baseline. See EXPERIMENTS.md for the
-# recipe used to regenerate the committed BENCH_8.json.
-bench-json:
-	$(GO) run ./cmd/benchrun -out bench.json -baseline BENCH_8.json -baseline-ref BENCH_8.json
-
-# Regression gate: rerun the tracked suite and fail when any workload shared
-# with the committed baseline is more than 5% slower, or when a zero-alloc
-# workload (EvaluatorTau, SearchKernel1M) starts allocating. Workloads new since the baseline
-# are reported but never fail the gate.
-bench-compare:
-	$(GO) run ./cmd/benchrun -compare BENCH_8.json -regress 5 -gate-allocs
+# The repository's benchmark (BENCHMARK.json, benchmark/README.md), as the
+# CI benchmark job runs it: all six workloads for 1 s each, untraced then
+# traced. Fails when any operation fails or any answer is wrong. Drop
+# -seconds for the full-length run that comparisons between commits use.
+benchmark:
+	$(GO) run -C benchmark . -seconds 1
 
 # Run the planner service against the committed model fixture (ctrl-C to
 # stop). Query it with e.g.:

@@ -7,8 +7,8 @@
 //     an explicit seed (nodeterm), or leave a bit-exact float kernel open to
 //     reassociation or FMA fusion (floatorder);
 //   - zero-alloc hot paths: functions annotated //het:hotpath must not
-//     contain the allocation patterns the runtime benchmark gate
-//     (benchrun -gate-allocs) exists to catch after the fact (hotpath), and
+//     contain the allocation patterns that the tier-1 AllocsPerRun tests
+//     can only catch after the fact, at runtime (hotpath), and
 //     the same rules propagate through the static call graph to every
 //     function reachable from a hotpath root (hotpathprop); functions
 //     annotated //het:allocfree are statically certified to contain no

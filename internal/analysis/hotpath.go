@@ -7,13 +7,13 @@ import (
 )
 
 // HotPath enforces allocation discipline in functions annotated
-// //het:hotpath — the static complement of the runtime allocation gate
-// (benchrun -gate-allocs). Those functions sit on per-candidate and
-// per-message paths: Evaluator.Tau scores millions of configurations per
-// search, vmpi moves an envelope per MPI message, the serve cache hit path
-// runs once per query. A single fmt call or escaping closure turns "0
-// allocs/op" into garbage-collector pressure that the benchmark gate only
-// catches after the fact, on the machine that happens to run it.
+// //het:hotpath — the static complement of the runtime allocation gates
+// (the tier-1 testing.AllocsPerRun tests). Those functions sit on
+// per-candidate and per-message paths: Evaluator.Tau scores millions of
+// configurations per search, vmpi moves an envelope per MPI message, the
+// serve cache hit path runs once per query. A single fmt call or escaping
+// closure turns "0 allocs/op" into garbage-collector pressure that those
+// tests only catch after the fact, and only on the inputs they exercise.
 //
 // Inside an annotated function the analyzer flags:
 //

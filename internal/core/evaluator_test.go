@@ -171,17 +171,28 @@ func TestEvaluatorSnapshotsModelSet(t *testing.T) {
 }
 
 // TestEvaluatorZeroAlloc asserts the compiled scoring path allocates
-// nothing per candidate.
+// nothing per candidate: on the two-class model with composed P-T and the
+// §4.1 adjustment, and on a three-class candidate of the six-class model
+// behind the 10⁶-candidate search grid.
 func TestEvaluatorZeroAlloc(t *testing.T) {
-	ms := richWorld(t, nil)
-	ev := ms.Compile(6400)
-	cfg := cluster.Configuration{Use: []cluster.ClassUse{{PEs: 1, Procs: 2}, {PEs: 4, Procs: 2}}}
-	avg := testing.AllocsPerRun(1000, func() {
-		if _, ok := ev.Tau(cfg); !ok {
-			t.Fatal("unscorable")
+	sixClass := cluster.Configuration{Use: make([]cluster.ClassUse, 6)}
+	sixClass.Use[0] = cluster.ClassUse{PEs: 2, Procs: 2}
+	sixClass.Use[3] = cluster.ClassUse{PEs: 4, Procs: 1}
+	sixClass.Use[5] = cluster.ClassUse{PEs: 1, Procs: 3}
+	for _, tc := range []struct {
+		ev  *Evaluator
+		cfg cluster.Configuration
+	}{
+		{richWorld(t, nil).Compile(6400), cluster.Configuration{Use: []cluster.ClassUse{{PEs: 1, Procs: 2}, {PEs: 4, Procs: 2}}}},
+		{multiClassWorld(t, 6).Compile(3200), sixClass},
+	} {
+		avg := testing.AllocsPerRun(1000, func() {
+			if _, ok := tc.ev.Tau(tc.cfg); !ok {
+				t.Fatal("unscorable")
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("%s: Tau allocates %.2f per call", tc.cfg, avg)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("Tau allocates %.2f per call", avg)
 	}
 }

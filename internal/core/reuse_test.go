@@ -126,30 +126,44 @@ func TestSearchReusePlanTracksEvaluator(t *testing.T) {
 
 // TestSearchReuseSteadyStateAllocs pins the zero-allocation contract of the
 // hot serving loop: after the first call warms the buffers, repeated
-// searches — constrained and not — allocate nothing.
+// searches — constrained and not — allocate nothing. The six-class case is
+// the 10⁶-candidate grid (10 pairs per class) at N = 3200, top-8, the grid
+// whose walk core.search_top8_us times in the benchmark: this is the
+// blocking allocation gate on that kernel.
 func TestSearchReuseSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	ms := multiClassWorld(t, 3)
-	ev := ms.Compile(2400)
-	grid, err := multiClassSpace(3).Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cons := range []*Constraints{nil, {Classes: []int{0, 1}, MaxTotalProcs: 16}} {
+	for _, tc := range []struct {
+		classes int
+		n       float64
+		cons    *Constraints
+	}{
+		{3, 2400, nil},
+		{3, 2400, &Constraints{Classes: []int{0, 1}, MaxTotalProcs: 16}},
+		{6, 3200, nil},
+	} {
+		ev := multiClassWorld(t, tc.classes).Compile(tc.n)
+		grid, err := multiClassSpace(tc.classes).Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var r Reusable
-		opts := SearchOptions{TopK: 8, Constraints: cons}
+		opts := SearchOptions{TopK: 8, Constraints: tc.cons}
 		if _, err := ev.SearchReuse(grid, opts, &r); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := ev.SearchReuse(grid, opts, &r); err != nil {
+			res, err := ev.SearchReuse(grid, opts, &r)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if len(res.Best) != 8 {
+				t.Fatalf("%d winners", len(res.Best))
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("cons=%+v: steady-state SearchReuse allocates %v per run", cons, allocs)
+			t.Fatalf("%d classes, cons=%+v: steady-state SearchReuse allocates %v per run", tc.classes, tc.cons, allocs)
 		}
 	}
 }

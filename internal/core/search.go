@@ -516,7 +516,7 @@ func (ev *Evaluator) Search(grid *cluster.Grid, opts SearchOptions) (*SearchResu
 // r's reused buffers: bit-identical Best/BestIndex/Size/Scored/Pruned to
 // Search with Workers: 1 and the same options. Steady-state calls with a
 // stable evaluator, grid, TopK and Constraints value allocate nothing (the
-// benchrun SearchKernel1M gate pins this).
+// tier-1 TestSearchReuseSteadyStateAllocs pins this on the 10⁶ grid).
 func (ev *Evaluator) SearchReuse(grid *cluster.Grid, opts SearchOptions, r *Reusable) (*SearchResult, error) {
 	res, err := ev.search(grid, opts, r, 1)
 	if err != nil {
