@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"hetmodel"
-	"hetmodel/internal/chol"
 	"hetmodel/internal/cluster"
 	"hetmodel/internal/experiments"
 	"hetmodel/internal/hpl"
@@ -339,41 +338,6 @@ func gemmFixture() (*linalg.Matrix, *linalg.Matrix, *linalg.Matrix) {
 		c.Data[i] = rng.NormFloat64()
 	}
 	return a, c, linalg.NewMatrix(n, n)
-}
-
-// BenchmarkCholeskyPhantom measures the second application's timing walk
-// (the paper's "other parallel applications" future work).
-func BenchmarkCholeskyPhantom(b *testing.B) {
-	cl, err := hetmodel.NewPaperCluster()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := hetmodel.Configuration{Use: []hetmodel.ClassUse{{PEs: 1, Procs: 3}, {PEs: 8, Procs: 1}}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := chol.Run(cl, cfg, chol.Params{N: 6400}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCholeskyNumeric measures a real-arithmetic Cholesky run.
-func BenchmarkCholeskyNumeric(b *testing.B) {
-	cl, err := hetmodel.NewPaperCluster()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := hetmodel.Configuration{Use: []hetmodel.ClassUse{{PEs: 1, Procs: 1}, {PEs: 3, Procs: 1}}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := chol.Run(cl, cfg, chol.Params{N: 160, NB: 32, Numeric: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Residual > 16 {
-			b.Fatalf("residual %v", res.Residual)
-		}
-	}
 }
 
 // BenchmarkFigureSVGs measures rendering all sixteen paper figures to SVG.

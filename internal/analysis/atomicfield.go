@@ -97,9 +97,10 @@ func runAtomicField(pass *Pass) error {
 				if !ok || sel.Kind() != types.FieldVal {
 					return
 				}
-				// Exactly a value of a sync/atomic named type: a field of
-				// type *atomic.Int64 is a plain pointer and copies safely.
-				named, ok := sel.Obj().Type().(*types.Named)
+				// Exactly a value of a sync/atomic named type, also when
+				// declared through an alias: a field of type *atomic.Int64
+				// is a plain pointer and copies safely.
+				named, ok := types.Unalias(sel.Obj().Type()).(*types.Named)
 				if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync/atomic" {
 					return
 				}

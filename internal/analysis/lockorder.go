@@ -200,7 +200,7 @@ func lockKeyOf(n *funcNode, expr ast.Expr) string {
 	return ""
 }
 
-// namedOf unwraps pointers to reach a named type, nil otherwise.
+// namedOf unwraps pointers and aliases to reach a named type, nil otherwise.
 func namedOf(t types.Type) *types.Named {
 	if t == nil {
 		return nil
@@ -208,11 +208,11 @@ func namedOf(t types.Type) *types.Named {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	if named, ok := t.(*types.Named); ok {
+	if named, ok := types.Unalias(t).(*types.Named); ok {
 		return named
 	}
 	if p, ok := t.(*types.Pointer); ok {
-		if named, ok := p.Elem().(*types.Named); ok {
+		if named, ok := types.Unalias(p.Elem()).(*types.Named); ok {
 			return named
 		}
 	}

@@ -172,11 +172,11 @@ func writerSink(info *types.Info, call *ast.CallExpr) (string, bool) {
 }
 
 func recvName(sig *types.Signature) string {
-	t := sig.Recv().Type()
+	t := types.Unalias(sig.Recv().Type())
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	if n, ok := t.(*types.Named); ok {
+	if n, ok := types.Unalias(t).(*types.Named); ok {
 		return n.Obj().Name()
 	}
 	return t.String()

@@ -74,3 +74,12 @@ func fresh() *counters {
 	c.hits = 0 //het:allow atomicfield -- fixture: not yet shared with any other goroutine
 	return c
 }
+
+// A field declared through an alias of an atomic type is still that type.
+type aliasedInt = atomic.Int64
+
+type viaAlias struct{ n aliasedInt }
+
+func aliasCopy(a *viaAlias) aliasedInt {
+	return a.n // want `field n has atomic type Int64 and must be used through its methods`
+}

@@ -1,8 +1,6 @@
 package hpl
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"hetmodel/internal/cluster"
@@ -11,10 +9,11 @@ import (
 
 // The phantom engine evaluates a run's virtual clocks on the caller's
 // goroutine. A phantom run moves no data and each rank's control flow depends
-// only on (rank, panel), so the goroutines, mailbox locks and wake-ups of the
-// vmpi world compute nothing a sequential evaluation of the same clock
-// recurrence would not. Each rank is a resumable state machine; the scheduler
-// runs one until it blocks on a message, then runs the rank it waits for.
+// only on (rank, panel), so each rank is a resumable state machine rather
+// than a vmpi coroutine, sparing a coroutine switch per blocked message.
+// vmpi.Schedule runs one rank until it blocks on a message, then the rank it
+// waits for, exactly as it runs the world's coroutines, and vmpi's broadcast
+// tree places every rank in every broadcast.
 //
 // Message semantics are vmpi's: an eager send pays the transfer time and
 // posts the availability time; a rendezvous send posts a request carrying
@@ -22,9 +21,8 @@ import (
 // stamps completion max(sender, receiver) + dt and acknowledges it; receives
 // match the first queued message with their (source, tag). A rank's clock
 // depends only on its own program and on the messages it matches, never on
-// the interleaving, so any schedule — vmpi's goroutines or this one — yields
-// the same clocks; performing the float operations in the same order as the
-// vmpi body (run.go) makes them identical to the bit.
+// the interleaving, so performing the float operations in the same order as
+// the vmpi body (run.go) makes the clocks identical to the bit.
 
 // Envelope kinds, as in vmpi's protocol matching.
 const (
@@ -44,17 +42,17 @@ type envelope struct {
 	dt float64
 }
 
-// bcastState is a rank's position inside one broadcast. Ring and binomial
-// are the same walk over virtual ranks (rank − root mod P): receive once from
-// the parent, then send to the children vrank+mask for halving masks. The
-// ring's parent is vrank−1 and its only mask is 1.
+// bcastState is a rank's position inside one broadcast (vmpi.BcastAlg.Tree):
+// receive once from the parent, then send to the children vrank+mask for
+// halving masks.
 type bcastState struct {
 	root, tag int
 	bytes     float64
 	// parent is the rank still to receive from, -1 when none (the root) or
 	// already received.
 	parent int
-	// mask is the distance to the next child to send to; 0 when none remain.
+	// mask is the distance, in virtual ranks, to the next child to send to;
+	// 0 when none remain.
 	mask int
 	// elapsed accumulates the rank's virtual time inside the broadcast.
 	elapsed float64
@@ -73,7 +71,7 @@ type engineRank struct {
 }
 
 // engine is the single-threaded virtual-time message layer under a phantom
-// run: per-rank clocks and inboxes, and the scheduler.
+// run: per-rank clocks and inboxes.
 type engine struct {
 	pl    *cluster.Placement
 	ranks []engineRank
@@ -95,43 +93,6 @@ func newEngine(pl *cluster.Placement) *engine {
 		e.ranks[r].inbox = boxes[r*inboxCap : r*inboxCap : (r+1)*inboxCap]
 	}
 	return e
-}
-
-// errDeadlock reports a program whose ranks wait on each other, or on a
-// rank that has finished.
-var errDeadlock = errors.New("hpl: deadlock in phantom run")
-
-// run drives every rank's program to completion. step advances one rank
-// until it finishes (true) or blocks (false, with waitOn naming the rank
-// whose message it needs); run then follows the wait chain to that rank. A
-// chain of more than P blocked ranks with no envelope moved in between has
-// revisited a rank that still cannot proceed: a deadlock, returned as an
-// error where the vmpi world would hang.
-func (e *engine) run(step func(rank int) bool) error {
-	P := len(e.ranks)
-	finished := make([]bool, P)
-	cur, chain := 0, 0
-	for left := P; left > 0; {
-		before := e.ops
-		if step(cur) {
-			finished[cur] = true
-			left--
-			chain = 0
-			for cur = 0; cur < P && finished[cur]; cur++ {
-			}
-			continue
-		}
-		if e.ops != before {
-			chain = 0
-		}
-		chain++
-		peer := e.ranks[cur].waitOn
-		if finished[peer] || chain > P {
-			return fmt.Errorf("%w: rank %d waits on rank %d, which cannot proceed", errDeadlock, cur, peer)
-		}
-		cur = peer
-	}
-	return nil
 }
 
 // advance adds dt virtual seconds of local work to the rank's clock.
@@ -236,28 +197,11 @@ func (e *engine) recv(rank, src, tag int) (float64, bool) {
 // carries it through.
 func (e *engine) startBcast(rank, root, tag int, bytes float64, alg vmpi.BcastAlg) {
 	size := len(e.ranks)
-	vrank := (rank - root + size) % size
-	bc := bcastState{root: root, tag: tag, bytes: bytes, parent: -1, mask: 1}
-	if alg == vmpi.BcastRing {
-		if vrank != 0 {
-			bc.parent = (rank - 1 + size) % size
-		}
-	} else {
-		// Binomial tree: the lowest set bit of vrank is the round in which
-		// the rank is reached; its children lie below that bit.
-		if vrank != 0 {
-			for vrank&bc.mask == 0 {
-				bc.mask <<= 1
-			}
-			bc.parent = (vrank&^bc.mask + root) % size
-		} else {
-			for bc.mask < size {
-				bc.mask <<= 1
-			}
-		}
-		bc.mask >>= 1
+	parent, mask := alg.Tree((rank-root+size)%size, size)
+	if parent >= 0 {
+		parent = (parent + root) % size
 	}
-	e.ranks[rank].bc = bc
+	e.ranks[rank].bc = bcastState{root: root, tag: tag, bytes: bytes, parent: parent, mask: mask}
 }
 
 // bcastStep advances rank through its current broadcast and reports whether
@@ -276,13 +220,11 @@ func (e *engine) bcastStep(rank int) bool {
 	}
 	vrank := (rank - bc.root + size) % size
 	for ; bc.mask > 0; bc.mask >>= 1 {
-		if child := vrank + bc.mask; child < size {
-			spent, ok := e.send(rank, (child+bc.root)%size, bc.tag, bc.bytes)
-			if !ok {
-				return false
-			}
-			bc.elapsed += spent
+		spent, ok := e.send(rank, (vrank+bc.mask+bc.root)%size, bc.tag, bc.bytes)
+		if !ok {
+			return false
 		}
+		bc.elapsed += spent
 	}
 	return true
 }
@@ -328,17 +270,19 @@ func newHPLProgram(pl *cluster.Placement, c *phaseCosts, alg vmpi.BcastAlg, timi
 }
 
 // runEngine evaluates a phantom run on the caller's goroutine, filling
-// res.PerRank.
+// res.PerRank. A program whose ranks wait on each other comes back as an
+// error wrapping vmpi.ErrDeadlock.
 func runEngine(pl *cluster.Placement, c *phaseCosts, alg vmpi.BcastAlg, res *Result) error {
 	h := newHPLProgram(pl, c, alg, res.PerRank)
-	return h.e.run(h.step)
+	return vmpi.Schedule(pl.P(), &h.e.ops, h.step)
 }
 
-// step runs rank until it finishes (true) or blocks on a message (false).
+// step runs rank until it finishes (-1) or blocks on a message, returning
+// the rank it waits for.
 //
 //het:hotpath
 //het:allocfree
-func (h *hplProgram) step(rank int) bool {
+func (h *hplProgram) step(rank int) int {
 	e, c, lay := h.e, h.c, h.c.lay
 	r, t := &h.ranks[rank], &h.timing[rank]
 	for {
@@ -366,13 +310,13 @@ func (h *hplProgram) step(rank int) bool {
 			r.pc = pcBcast
 		case pcBcast:
 			if !e.bcastStep(rank) {
-				return false
+				return e.ranks[rank].waitOn
 			}
 			t.addBcast(e.ranks[rank].bc.elapsed, c.panelRows(r.j))
 			h.trailing(rank)
 		case pcEarly:
 			if !e.bcastStep(rank) {
-				return false
+				return e.ranks[rank].waitOn
 			}
 			t.Bcast += e.ranks[rank].bc.elapsed
 			r.ahead = r.j + 1
@@ -390,12 +334,12 @@ func (h *hplProgram) step(rank int) bool {
 					t.Update += off
 				}
 				t.Wall = e.ranks[rank].clock
-				return true
+				return -1
 			}
 			if j < lay.NumPanels()-1 && lay.Owner(j+1) != rank {
 				wait, ok := e.recv(rank, lay.Owner(j+1), c.chainTag(j+1))
 				if !ok {
-					return false
+					return e.ranks[rank].waitOn
 				}
 				t.Uptrsv += wait
 			}
@@ -408,7 +352,7 @@ func (h *hplProgram) step(rank int) bool {
 			if j > 0 && lay.Owner(j-1) != rank {
 				spent, ok := e.send(rank, lay.Owner(j-1), c.chainTag(j), c.chainBytes())
 				if !ok {
-					return false
+					return e.ranks[rank].waitOn
 				}
 				t.Uptrsv += spent
 			}

@@ -2,6 +2,8 @@ package hpl
 
 import (
 	"errors"
+	"hash"
+	"hash/fnv"
 	"math"
 	"runtime"
 	"testing"
@@ -46,6 +48,36 @@ func sameBits(t *testing.T, label string, got, want *Result) {
 	}
 	eq("WallTime", got.WallTime, want.WallTime)
 	eq("Gflops", got.Gflops, want.Gflops)
+}
+
+// foldBits folds the Float64bits of every timing field of r — per-rank
+// phases, class aggregates, WallTime, Gflops and Residual — into h.
+func foldBits(h hash.Hash64, r *Result) {
+	var buf [8]byte
+	put := func(v float64) {
+		bits := math.Float64bits(v)
+		for i := range buf {
+			buf[i] = byte(bits >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	for _, t := range r.PerRank {
+		for _, v := range [...]float64{t.Pfact, t.Mxswp, t.Bcast, t.Laswp, t.Update, t.Uptrsv, t.Wall} {
+			put(v)
+		}
+	}
+	for _, c := range r.PerClass {
+		used := 0.0
+		if c.Used {
+			used = 1
+		}
+		for _, v := range [...]float64{used, c.Ta, c.Tc, c.Wall} {
+			put(v)
+		}
+	}
+	for _, v := range [...]float64{r.WallTime, r.Gflops, r.Residual} {
+		put(v)
+	}
 }
 
 // sweepConfigs returns the paper's 62 evaluation candidates and both
@@ -128,6 +160,13 @@ func allVariants() []variant {
 	return out
 }
 
+// sweepDigest is foldBits over the engine's side of every pair of the full
+// TestEngineMatchesWorld sweep (4 896 paper pairs, then 72 three-class
+// pairs), recorded while the engine and the vmpi world shared no code. The
+// two drivers now share vmpi's scheduler and broadcast tree, so a fault
+// there would move both sides alike; the digest pins the clocks themselves.
+const sweepDigest = 0x1cd7a56f6ce27f87
+
 // TestEngineMatchesWorld is the engine's contract: on every input the paper
 // pipeline feeds it, and on the shapes that stress its control flow, the
 // engine's Result equals the vmpi world's to the bit. Each (configuration,
@@ -139,6 +178,8 @@ func TestEngineMatchesWorld(t *testing.T) {
 	if testing.Short() {
 		sizes, sizesPerCase = sizes[:7], 1
 	}
+	digest := fnv.New64a()
+	pairs := 0
 	pair := func(label string, cl *cluster.Cluster, c cluster.Configuration, p Params) {
 		t.Helper()
 		want, err := run(cl, c, p, false)
@@ -150,6 +191,8 @@ func TestEngineMatchesWorld(t *testing.T) {
 			t.Fatalf("%s: engine: %v", label, err)
 		}
 		sameBits(t, label, got, want)
+		foldBits(digest, got)
+		pairs++
 	}
 
 	cfgs := sweepConfigs(t)
@@ -187,6 +230,12 @@ func TestEngineMatchesWorld(t *testing.T) {
 			}
 		}
 	}
+	if testing.Short() {
+		return
+	}
+	if pairs != 4968 || digest.Sum64() != sweepDigest {
+		t.Fatalf("%d pairs fold to %#016x, want 4968 pairs folding to %#016x", pairs, digest.Sum64(), uint64(sweepDigest))
+	}
 }
 
 // TestNumericMatchesPhantom: the numeric run (vmpi world, real panels) and
@@ -215,39 +264,46 @@ func TestNumericMatchesPhantom(t *testing.T) {
 	}
 }
 
-// A mismatched program must come back as an error, never a hang: the vmpi
-// world would park these ranks forever.
+// A mismatched program must come back as an error, never a hang.
 func TestEngineReportsDeadlock(t *testing.T) {
 	pl, err := paperCluster(t).Place(cfg(1, 1, 3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Run("receive nobody sends", func(t *testing.T) {
+	// run schedules step over a fresh engine; a blocked rank reports the
+	// rank it waits on.
+	run := func(step func(e *engine, rank int) bool) error {
 		e := newEngine(pl)
-		err := e.run(func(rank int) bool {
+		return vmpi.Schedule(pl.P(), &e.ops, func(rank int) int {
+			if step(e, rank) {
+				return -1
+			}
+			return e.ranks[rank].waitOn
+		})
+	}
+	t.Run("receive nobody sends", func(t *testing.T) {
+		err := run(func(e *engine, rank int) bool {
 			if rank != 0 {
 				return true
 			}
 			_, ok := e.recv(0, 2, 99)
 			return ok
 		})
-		if !errors.Is(err, errDeadlock) {
+		if !errors.Is(err, vmpi.ErrDeadlock) {
 			t.Fatalf("err = %v, want deadlock", err)
 		}
 	})
 	t.Run("receive cycle", func(t *testing.T) {
-		e := newEngine(pl)
-		err := e.run(func(rank int) bool {
+		err := run(func(e *engine, rank int) bool {
 			_, ok := e.recv(rank, (rank+1)%pl.P(), 7)
 			return ok
 		})
-		if !errors.Is(err, errDeadlock) {
+		if !errors.Is(err, vmpi.ErrDeadlock) {
 			t.Fatalf("err = %v, want deadlock", err)
 		}
 	})
 	t.Run("rendezvous never received", func(t *testing.T) {
-		e := newEngine(pl)
-		err := e.run(func(rank int) bool {
+		err := run(func(e *engine, rank int) bool {
 			if rank != 1 {
 				return true
 			}
@@ -256,7 +312,7 @@ func TestEngineReportsDeadlock(t *testing.T) {
 			_, ok := e.send(1, 2, 7, 1<<20)
 			return ok
 		})
-		if !errors.Is(err, errDeadlock) {
+		if !errors.Is(err, vmpi.ErrDeadlock) {
 			t.Fatalf("err = %v, want deadlock", err)
 		}
 	})
@@ -287,7 +343,7 @@ func TestPhantomRunAllocationAndGoroutines(t *testing.T) {
 	h := newHPLProgram(pl, costs, params.Bcast, make([]RankTiming, pl.P()))
 	before := runtime.NumGoroutine()
 	steps := 0
-	if err := h.e.run(func(rank int) bool {
+	if err := vmpi.Schedule(pl.P(), &h.e.ops, func(rank int) int {
 		steps++
 		if g := runtime.NumGoroutine(); g != before {
 			t.Fatalf("goroutines went from %d to %d during a phantom run", before, g)

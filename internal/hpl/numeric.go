@@ -3,7 +3,6 @@ package hpl
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"hetmodel/internal/linalg"
 )
@@ -19,34 +18,28 @@ type numState struct {
 	rank  int
 	seed  int64
 	local *linalg.Matrix
-	// bufs, when set, is the run-shared pool panel payload buffers are
+	// bufs, when set, is the run-shared free list panel payload buffers are
 	// drawn from (and returned to by panelMsg.release).
-	bufs *sync.Pool
+	bufs *panelBufs
 }
 
 // newPanelMsg returns a panel payload whose m×nb matrix is drawn from the
-// run's buffer pool when one is installed. The caller overwrites every
-// element, so stale pooled contents never leak.
+// run's free list when one is installed. The caller overwrites every
+// element, so stale recycled contents never leak.
 func (st *numState) newPanelMsg(m, nb int) *panelMsg {
 	pm := &panelMsg{}
 	if st.bufs == nil {
 		pm.L = linalg.NewMatrix(m, nb)
 		return pm
 	}
-	pm.bufs = st.bufs
-	pm.refs.Store(int32(st.lay.P()))
-	if v := st.bufs.Get(); v != nil {
-		p := v.(*[]float64)
-		if cap(*p) >= m*nb {
-			*p = (*p)[:m*nb]
-			pm.bufPtr = p
-		}
+	pm.bufs, pm.refs = st.bufs, st.lay.P()
+	if free := st.bufs.free; len(free) > 0 && cap(free[len(free)-1]) >= m*nb {
+		pm.buf = free[len(free)-1][:m*nb]
+		st.bufs.free = free[:len(free)-1]
+	} else {
+		pm.buf = make([]float64, m*nb)
 	}
-	if pm.bufPtr == nil {
-		buf := make([]float64, m*nb)
-		pm.bufPtr = &buf
-	}
-	pm.L = &linalg.Matrix{Rows: m, Cols: nb, Stride: nb, Data: *pm.bufPtr}
+	pm.L = &linalg.Matrix{Rows: m, Cols: nb, Stride: nb, Data: pm.buf}
 	return pm
 }
 

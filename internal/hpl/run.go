@@ -2,16 +2,12 @@ package hpl
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"hetmodel/internal/cluster"
 	"hetmodel/internal/vmpi"
 )
 
-// Layout captures the 1×P block-cyclic column distribution arithmetic. It
-// is shared with the other distributed applications built on the same
-// distribution (internal/chol).
+// Layout captures the 1×P block-cyclic column distribution arithmetic.
 type Layout struct {
 	n, nb, p  int
 	numPanels int
@@ -90,23 +86,26 @@ type panelMsg struct {
 	Pivots []int
 
 	// refs counts the ranks still reading L; the last release returns the
-	// backing buffer to bufs so the next panel reuses it instead of
-	// allocating. Panel sizes shrink monotonically, so recycled buffers
-	// always fit. nil bufs (phantom mode) makes release a no-op.
-	refs   atomic.Int32
-	bufs   *sync.Pool
-	bufPtr *[]float64
+	// backing buffer to the run's free list so the next panel reuses it
+	// instead of allocating. Panel sizes shrink monotonically, so recycled
+	// buffers always fit. nil bufs (phantom mode) makes release a no-op.
+	refs int
+	bufs *panelBufs
+	buf  []float64
 }
 
-// release signals that this rank is done with the panel's matrix. Safe to
-// call once per receiving rank; the atomic decrement plus sync.Pool give
-// the happens-before edges reuse needs under the race detector.
+// panelBufs is a numeric run's free list of panel matrix buffers. The ranks
+// run one at a time (vmpi coroutines), so it needs no lock.
+type panelBufs struct{ free [][]float64 }
+
+// release signals that this rank is done with the panel's matrix; each
+// rank calls it once per panel.
 func (pm *panelMsg) release() {
 	if pm == nil || pm.bufs == nil {
 		return
 	}
-	if pm.refs.Add(-1) == 0 {
-		pm.bufs.Put(pm.bufPtr)
+	if pm.refs--; pm.refs == 0 {
+		pm.bufs.free = append(pm.bufs.free, pm.buf)
 		pm.bufs = nil
 	}
 }
@@ -115,8 +114,9 @@ func (pm *panelMsg) release() {
 // detailed result. It is safe for concurrent use across distinct runs.
 //
 // A phantom, untraced run — every measurement campaign — is evaluated by the
-// single-threaded engine (engine.go); numeric and traced runs execute on the
-// vmpi world. Both produce bit-identical timings.
+// engine's rank state machines (engine.go); numeric and traced runs execute
+// the straight-line rank body on the vmpi world. Both run on the caller's
+// goroutine under vmpi.Schedule and produce bit-identical timings.
 func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result, error) {
 	return run(cl, cfg, params, !params.Numeric && params.Tracer == nil)
 }
@@ -151,7 +151,7 @@ func run(cl *cluster.Cluster, cfg cluster.Configuration, params Params, useEngin
 	return res, nil
 }
 
-// runWorld executes the run on the vmpi world, one goroutine per rank: the
+// runWorld executes the run on the vmpi world, one coroutine per rank: the
 // driver that moves real panels (numeric mode) and feeds the tracer, and the
 // oracle the engine is tested against.
 func runWorld(pl *cluster.Placement, c *phaseCosts, params Params, res *Result) error {
@@ -163,10 +163,10 @@ func runWorld(pl *cluster.Placement, c *phaseCosts, params Params, res *Result) 
 	pivots := make([][]int, lay.NumPanels())
 	if params.Numeric {
 		states = make([]*numState, P)
-		panelBufs := new(sync.Pool)
+		bufs := new(panelBufs)
 		for r := 0; r < P; r++ {
 			states[r] = newNumState(lay, r, params.Seed)
-			states[r].bufs = panelBufs
+			states[r].bufs = bufs
 		}
 	}
 
@@ -178,7 +178,7 @@ func runWorld(pl *cluster.Placement, c *phaseCosts, params Params, res *Result) 
 	world.SetTracer(params.Tracer)
 	barrierTag := 2*lay.NumPanels() + 16
 
-	world.Run(func(p *vmpi.Proc) {
+	_, err = world.Run(func(p *vmpi.Proc) {
 		rank := p.Rank()
 		var st *numState
 		if states != nil {
@@ -308,7 +308,9 @@ func runWorld(pl *cluster.Placement, c *phaseCosts, params Params, res *Result) 
 		res.PerRank[rank] = t
 		p.Barrier(barrierTag) // drain the world; not timed
 	})
-
+	if err != nil {
+		return err
+	}
 	if params.Numeric {
 		return res.validate(lay, states, pivots)
 	}

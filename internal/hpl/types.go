@@ -9,12 +9,13 @@
 //
 //   - Numeric: ranks hold real float64 panels, factorize them, and the
 //     solution is residual-checked (validates the algorithm). Ranks run as
-//     goroutines on the internal/vmpi runtime, which moves the panels.
+//     coroutines on the internal/vmpi runtime, which moves the panels.
 //   - Phantom: only the flop/byte-accurate virtual clocks advance (makes the
 //     paper's 486-run measurement campaigns cheap). Nothing moves and each
-//     rank's control flow depends only on (rank, panel), so a single-threaded
-//     engine (engine.go) evaluates the same clock recurrence on the caller's
-//     goroutine; a traced phantom run stays on vmpi, which feeds the tracer.
+//     rank's control flow depends only on (rank, panel), so the engine
+//     (engine.go) runs each rank as a state machine under vmpi's scheduler,
+//     without a coroutine switch per message; a traced phantom run stays on
+//     vmpi, which feeds the tracer.
 //
 // Both drivers charge every phase through one set of cost functions
 // (costs.go) in the same order, so their timings are bit-identical. Virtual

@@ -19,152 +19,50 @@ func (c comm) indexOf(members []int) int {
 	return -1
 }
 
-// bcastRing forwards data from members[rootIdx] around the member ring.
+// bcast broadcasts data from members[rootIdx] over the members with alg:
+// vmpi's broadcast tree, its virtual ranks mapped through the member list.
 // Every member must call it. Returns the payload and elapsed virtual time.
-func (c comm) bcastRing(members []int, rootIdx, tag int, data any, bytes float64) (any, float64) {
+func (c comm) bcast(alg vmpi.BcastAlg, members []int, rootIdx, tag int, data any, bytes float64) (any, float64) {
 	n := len(members)
-	if n <= 1 {
-		return data, 0
-	}
-	me := c.indexOf(members)
-	v := (me - rootIdx + n) % n
-	next := members[(me+1)%n]
-	prev := members[(me-1+n)%n]
+	v := (c.indexOf(members) - rootIdx + n) % n
+	parent, first := alg.Tree(v, n)
 	var elapsed float64
-	if v == 0 {
-		elapsed += c.p.Send(next, tag, data, bytes)
-		return data, elapsed
+	if parent >= 0 {
+		msg, wait := c.p.Recv(members[(parent+rootIdx)%n], tag)
+		data, elapsed = msg.Data, wait
 	}
-	msg, wait := c.p.Recv(prev, tag)
-	elapsed += wait
-	if v < n-1 {
-		elapsed += c.p.Send(next, tag, msg.Data, bytes)
+	for m := first; m > 0; m >>= 1 {
+		elapsed += c.p.Send(members[(v+m+rootIdx)%n], tag, data, bytes)
 	}
-	return msg.Data, elapsed
+	return data, elapsed
 }
 
-// bcastBinomial broadcasts from members[rootIdx] over a binomial tree.
-func (c comm) bcastBinomial(members []int, rootIdx, tag int, data any, bytes float64) (any, float64) {
-	n := len(members)
-	if n <= 1 {
-		return data, 0
-	}
-	me := c.indexOf(members)
-	v := (me - rootIdx + n) % n
-	toAbs := func(idx int) int { return members[(idx+rootIdx)%n] }
-	payload := data
-	var elapsed float64
-	mask := 1
-	if v != 0 {
-		for v&mask == 0 {
-			mask <<= 1
-		}
-		msg, wait := c.p.Recv(toAbs(v&^mask), tag)
-		elapsed += wait
-		payload = msg.Data
-	} else {
-		for mask < n {
-			mask <<= 1
-		}
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if v+mask < n {
-			elapsed += c.p.Send(toAbs(v+mask), tag, payload, bytes)
-		}
-	}
-	return payload, elapsed
-}
-
-// allreduce reduces with op over all members (rooted at members[0]) and
-// broadcasts the result back; every member returns the combined value.
-func (c comm) allreduce(members []int, tag int, contribution any, bytes float64, op func(a, b any) any) (any, float64) {
-	n := len(members)
-	if n <= 1 {
-		return contribution, 0
-	}
-	me := c.indexOf(members)
-	acc := contribution
-	var elapsed float64
-	// Binomial reduce toward index 0.
-	mask := 1
-	for mask < n {
-		if me&mask != 0 {
-			elapsed += c.p.Send(members[me&^mask], tag, acc, bytes)
-			break
-		}
-		if peer := me | mask; peer < n {
-			msg, wait := c.p.Recv(members[peer], tag)
-			elapsed += wait
-			acc = op(acc, msg.Data)
-		}
-		mask <<= 1
-	}
-	out, e := c.bcastBinomial(members, 0, tag+1, acc, bytes)
-	return out, elapsed + e
-}
-
-// allreduceMaxPivot is the scalar-specialized counterpart of allreduce for
-// pivot selection: the candidate travels inline in the message envelope
-// (SendScalars/RecvScalars), so the per-column reduction allocates nothing.
-// The combine order matches allreduce(..., maxCand) exactly.
+// allreduceMaxPivot selects the pivot over all members on vmpi's binomial
+// tree rooted at members[0]: a reduction that walks the tree backwards
+// (children in ascending order, then up to the parent), then a broadcast of
+// the winner down the same tree. The candidate travels inline in the
+// message envelope (SendScalars/RecvScalars), so the per-column reduction
+// allocates nothing.
 func (c comm) allreduceMaxPivot(members []int, tag int, cand pivotCand, bytes float64) (pivotCand, float64) {
-	n := len(members)
-	if n <= 1 {
-		return cand, 0
-	}
 	me := c.indexOf(members)
-	acc := cand
-	var elapsed float64
-	// Binomial reduce toward index 0.
-	mask := 1
-	for mask < n {
-		if me&mask != 0 {
-			elapsed += c.p.SendScalars(members[me&^mask], tag, acc.Abs, acc.Row, bytes)
-			break
-		}
-		if peer := me | mask; peer < n {
-			f, r, wait := c.p.RecvScalars(members[peer], tag)
-			elapsed += wait
-			if f > acc.Abs || (f == acc.Abs && r < acc.Row) {
-				acc = pivotCand{Abs: f, Row: r}
-			}
-		}
-		mask <<= 1
-	}
-	out, e := c.bcastBinomialPivot(members, 0, tag+1, acc, bytes)
-	return out, elapsed + e
-}
-
-// bcastBinomialPivot broadcasts a pivotCand from members[rootIdx] over a
-// binomial tree, carrying it inline in the envelope.
-func (c comm) bcastBinomialPivot(members []int, rootIdx, tag int, cand pivotCand, bytes float64) (pivotCand, float64) {
-	n := len(members)
-	if n <= 1 {
-		return cand, 0
-	}
-	me := c.indexOf(members)
-	v := (me - rootIdx + n) % n
-	toAbs := func(idx int) int { return members[(idx+rootIdx)%n] }
-	var elapsed float64
-	mask := 1
-	if v != 0 {
-		for v&mask == 0 {
-			mask <<= 1
-		}
-		f, r, wait := c.p.RecvScalars(toAbs(v&^mask), tag)
-		elapsed += wait
-		cand = pivotCand{Abs: f, Row: r}
-	} else {
-		for mask < n {
-			mask <<= 1
+	parent, first := vmpi.BcastBinomial.Tree(me, len(members))
+	var reduce, bcast float64
+	for m := 1; m <= first; m <<= 1 {
+		f, r, wait := c.p.RecvScalars(members[me+m], tag)
+		reduce += wait
+		if f > cand.Abs || (f == cand.Abs && r < cand.Row) {
+			cand = pivotCand{Abs: f, Row: r}
 		}
 	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if v+mask < n {
-			elapsed += c.p.SendScalars(toAbs(v+mask), tag, cand.Abs, cand.Row, bytes)
-		}
+	if parent >= 0 {
+		reduce += c.p.SendScalars(members[parent], tag, cand.Abs, cand.Row, bytes)
+		f, r, wait := c.p.RecvScalars(members[parent], tag+1)
+		cand, bcast = pivotCand{Abs: f, Row: r}, wait
 	}
-	return cand, elapsed
+	for m := first; m > 0; m >>= 1 {
+		bcast += c.p.SendScalars(members[me+m], tag+1, cand.Abs, cand.Row, bytes)
+	}
+	return cand, reduce + bcast
 }
 
 // sendrecvSwap exchanges payloads with a peer in deadlock-safe order (the

@@ -92,7 +92,7 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 	const tagStride = 1 << 12
 	chainBase := g.Panels() * tagStride
 
-	world.Run(func(p *vmpi.Proc) {
+	_, err = world.Run(func(p *vmpi.Proc) {
 		rank := p.Rank()
 		rp := pl.Ranks[rank]
 		myRow, myCol := g.Coords(rank)
@@ -187,7 +187,7 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 					if st != nil && myRow == g.RowOwner(gr) {
 						rowSeg = st.rowSegment(gr, col0+k, col0+nb)
 					}
-					rowSeg, e = cm.bcastBinomial(colMembers, g.RowOwner(gr), tagK+4, rowSeg, 8*float64(nb-k))
+					rowSeg, e = cm.bcast(vmpi.BcastBinomial, colMembers, g.RowOwner(gr), tagK+4, rowSeg, 8*float64(nb-k))
 					t.Mxswp += e
 					below := g.RowsBelow(myRow, gr+1)
 					if below > 0 {
@@ -215,7 +215,7 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 			{
 				rows := g.RowsBelow(myRow, col0)
 				bytes := 8 * float64(rows*nb+nb)
-				data, e := cm.bcastRing(rowMembers, pc0, base+900, myPanel, bytes)
+				data, e := cm.bcast(vmpi.BcastRing, rowMembers, pc0, base+900, myPanel, bytes)
 				t.Bcast += e
 				if pm, ok := data.(*panelMsg); ok && pm != nil {
 					myPanel = pm
@@ -281,7 +281,7 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 			}
 			if myTrailing > 0 && g.Pr() > 1 {
 				var e float64
-				u12, e = cm.bcastBinomial(colMembers, rd, base+950, u12, 8*float64(nb*myTrailing))
+				u12, e = cm.bcast(vmpi.BcastBinomial, colMembers, rd, base+950, u12, 8*float64(nb*myTrailing))
 				t.Bcast += e
 			}
 
@@ -336,6 +336,9 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 		res.PerRank[rank] = t
 		p.Barrier(chainBase + g.Panels() + 8)
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	hpl.FinalizeResult(res, pl, len(cl.Classes), hpl.FlopCount(params.N))
 	if params.Numeric {

@@ -26,8 +26,7 @@ type Group struct {
 }
 
 // Runner executes one measurement of an application (HPL by default; any
-// application producing the shared result layout works, e.g. the
-// distributed Cholesky in internal/chol).
+// application producing the shared result layout works).
 type Runner func(*cluster.Cluster, cluster.Configuration, hpl.Params) (*hpl.Result, error)
 
 // Campaign is a full model-construction measurement plan.

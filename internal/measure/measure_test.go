@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"hetmodel/internal/chol"
-
 	"hetmodel/internal/cluster"
 	"hetmodel/internal/core"
 	"hetmodel/internal/hpl"
@@ -168,28 +166,6 @@ func TestCampaignCustomRunner(t *testing.T) {
 	}
 	if n := int(calls.Load()); n != res.Runs || n == 0 {
 		t.Fatalf("runner called %d times for %d runs", n, res.Runs)
-	}
-}
-
-// A campaign measured with the Cholesky runner produces valid samples —
-// the application abstraction behind the "beyond HPL" extension.
-func TestCampaignWithCholeskyRunner(t *testing.T) {
-	cl := paperCluster(t)
-	camp := tinyCampaign()
-	camp.Runner = chol.Run
-	res, err := Run(cl, camp, hpl.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range res.Samples {
-		if s.Ta <= 0 {
-			t.Fatalf("bad Cholesky sample: %+v", s)
-		}
-		// Cholesky has no pivoting; its Tc is pure broadcast/wait and can
-		// be zero for single-PE runs.
-		if s.Tc < 0 {
-			t.Fatalf("negative Tc: %+v", s)
-		}
 	}
 }
 

@@ -6,23 +6,19 @@ import (
 	"testing"
 )
 
-// TestSendRecvSteadyStateAllocs asserts the pooled messaging path: after a
+// TestSendRecvSteadyStateAllocs asserts the messaging path: after a
 // warm-up, a ping-pong exchange — eager and rendezvous — performs no heap
-// allocation. AllocsPerRun cannot span goroutines, so the test reads the
-// global malloc counter from rank 0 at points where rank 1 is quiescent
-// (blocked in its receive): with strict ping-pong alternation, rank 1 cannot
-// be executing user code while rank 0 holds the ball.
+// allocation. The test reads the global malloc counter from inside rank 0,
+// so the measured span covers both ranks' coroutines and every switch
+// between them.
 func TestSendRecvSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops puts under the race detector")
-	}
 	const (
 		warmup   = 200
 		measured = 1000
-		// A strictly positive budget absorbs runtime internals (sudog and
-		// notify-list growth) that are not under this package's control;
-		// the regression being guarded against is one-or-more envelopes
-		// per message, i.e. >= 2*measured mallocs.
+		// A strictly positive budget absorbs runtime internals that are
+		// not under this package's control; the regression being guarded
+		// against is one-or-more allocations per message, i.e.
+		// >= 2*measured mallocs.
 		budget = 50
 	)
 	transfer := func(bytes float64, src, dst int) float64 { return 1e-6 }
@@ -36,7 +32,7 @@ func TestSendRecvSteadyStateAllocs(t *testing.T) {
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var delta uint64
-	w.Run(func(p *Proc) {
+	mustRun(t, w, func(p *Proc) {
 		bytesFor := func(i int) float64 {
 			if i%2 == 0 {
 				return 100 // rendezvous
@@ -74,9 +70,6 @@ func TestSendRecvSteadyStateAllocs(t *testing.T) {
 // TestScalarSendRecvSteadyStateAllocs covers the inline-scalar path used by
 // the pivot reductions.
 func TestScalarSendRecvSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops puts under the race detector")
-	}
 	const (
 		warmup   = 200
 		measured = 1000
@@ -89,7 +82,7 @@ func TestScalarSendRecvSteadyStateAllocs(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var delta uint64
-	w.Run(func(p *Proc) {
+	mustRun(t, w, func(p *Proc) {
 		if p.Rank() == 0 {
 			roundtrip := func(i int) {
 				p.SendScalars(1, 3, float64(i), i, 16)

@@ -1,6 +1,9 @@
 package vmpi
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // BcastAlg selects the broadcast algorithm.
 type BcastAlg int
@@ -28,6 +31,34 @@ func (a BcastAlg) String() string {
 	}
 }
 
+// Tree places virtual rank v (rank − root mod n) in a broadcast over n
+// ranks. The rank receives once from virtual rank parent (-1 at the root),
+// then sends to v+m for m = first, first/2, …, 1; every such child is below
+// n, and first = 0 marks a leaf. Ring and binomial differ only in these two
+// numbers: the ring's parent is v−1 and its only child v+1; in the binomial
+// tree the lowest set bit of v is the round in which the rank is reached,
+// and its children lie below that bit.
+//
+//het:hotpath
+//het:allocfree
+func (a BcastAlg) Tree(v, n int) (parent, first int) {
+	if a == BcastRing {
+		parent, first = v-1, 1
+	} else {
+		low := v & -v // 0 at the root, whose children start at the top bit
+		parent, first = v-low, low>>1
+		if v == 0 {
+			parent, first = -1, n
+		}
+	}
+	// Keep the children below n: the first is the largest power of two
+	// that fits in the n−1−v ranks after v.
+	if room := n - 1 - v; first > room {
+		first = 1 << bits.Len(uint(room)) >> 1
+	}
+	return parent, first
+}
+
 // Bcast broadcasts data of the given modelled size from root to all ranks.
 // Every rank must call it with the same root, tag, and algorithm. On the
 // root, data is the payload; elsewhere the returned message's Data is the
@@ -38,67 +69,20 @@ func (p *Proc) Bcast(root, tag int, data any, bytes float64, alg BcastAlg) (any,
 	if root < 0 || root >= size {
 		panic(fmt.Sprintf("vmpi: bcast with invalid root %d", root))
 	}
-	if size == 1 {
-		return data, 0
-	}
-	switch alg {
-	case BcastRing:
-		return p.bcastRing(root, tag, data, bytes)
-	case BcastBinomial:
-		return p.bcastBinomial(root, tag, data, bytes)
-	default:
+	if alg != BcastRing && alg != BcastBinomial {
 		panic(fmt.Sprintf("vmpi: unknown broadcast algorithm %d", alg))
 	}
-}
-
-func (p *Proc) bcastRing(root, tag int, data any, bytes float64) (any, float64) {
-	size := p.world.size
-	vrank := (p.rank - root + size) % size
-	next := (p.rank + 1) % size
+	v := (p.rank - root + size) % size
+	parent, first := alg.Tree(v, size)
 	var elapsed float64
-	if vrank == 0 {
-		elapsed += p.Send(next, tag, data, bytes)
-		return data, elapsed
+	if parent >= 0 {
+		msg, wait := p.Recv((parent+root)%size, tag)
+		data, elapsed = msg.Data, wait
 	}
-	msg, wait := p.Recv((p.rank-1+size)%size, tag)
-	elapsed += wait
-	if vrank < size-1 {
-		elapsed += p.Send(next, tag, msg.Data, bytes)
+	for m := first; m > 0; m >>= 1 {
+		elapsed += p.Send((v+m+root)%size, tag, data, bytes)
 	}
-	return msg.Data, elapsed
-}
-
-func (p *Proc) bcastBinomial(root, tag int, data any, bytes float64) (any, float64) {
-	size := p.world.size
-	vrank := (p.rank - root + size) % size
-	toAbs := func(v int) int { return (v + root) % size }
-	var elapsed float64
-	payload := data
-	// Receive from parent (non-root ranks): the lowest set bit of vrank
-	// identifies the round in which this rank is reached.
-	mask := 1
-	if vrank != 0 {
-		for vrank&mask == 0 {
-			mask <<= 1
-		}
-		parent := vrank &^ mask
-		msg, wait := p.Recv(toAbs(parent), tag)
-		elapsed += wait
-		payload = msg.Data
-	} else {
-		for mask < size {
-			mask <<= 1
-		}
-	}
-	// Send to children with decreasing masks (all bits below the bit on
-	// which this rank received are zero, so vrank+mask is always a valid
-	// child when it is in range).
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vrank+mask < size {
-			elapsed += p.Send(toAbs(vrank+mask), tag, payload, bytes)
-		}
-	}
-	return payload, elapsed
+	return data, elapsed
 }
 
 // Barrier synchronizes all ranks: a gather to rank 0 followed by a
@@ -121,75 +105,4 @@ func (p *Proc) Barrier(tag int) float64 {
 	}
 	_, e := p.Bcast(0, tag+1, nil, 0, BcastBinomial)
 	return elapsed + e
-}
-
-// Reduce combines each rank's contribution at the root with a binomial-tree
-// reduction: op(a, b) must be associative and commutative. Non-root ranks
-// receive the zero value. bytes models each partial result's size. It
-// returns the reduced value (root only) and the rank's elapsed virtual time.
-func (p *Proc) Reduce(root, tag int, contribution any, bytes float64, op func(a, b any) any) (any, float64) {
-	size := p.world.size
-	if root < 0 || root >= size {
-		panic(fmt.Sprintf("vmpi: reduce with invalid root %d", root))
-	}
-	if op == nil {
-		panic("vmpi: reduce with nil op")
-	}
-	if size == 1 {
-		return contribution, 0
-	}
-	vrank := (p.rank - root + size) % size
-	toAbs := func(v int) int { return (v + root) % size }
-	acc := contribution
-	var elapsed float64
-	// Mirror image of the binomial broadcast: receive from children with
-	// increasing masks, then send the accumulated value to the parent.
-	mask := 1
-	for mask < size {
-		if vrank&mask != 0 {
-			elapsed += p.Send(toAbs(vrank&^mask), tag, acc, bytes)
-			return nil, elapsed
-		}
-		if peer := vrank | mask; peer < size {
-			msg, wait := p.Recv(toAbs(peer), tag)
-			elapsed += wait
-			acc = op(acc, msg.Data)
-		}
-		mask <<= 1
-	}
-	return acc, elapsed
-}
-
-// Allreduce performs a Reduce to rank 0 followed by a broadcast of the
-// result, so every rank returns the combined value.
-func (p *Proc) Allreduce(tag int, contribution any, bytes float64, op func(a, b any) any) (any, float64) {
-	reduced, e1 := p.Reduce(0, tag, contribution, bytes, op)
-	out, e2 := p.Bcast(0, tag+1, reduced, bytes, BcastBinomial)
-	return out, e1 + e2
-}
-
-// Gather collects each rank's contribution at the root. Non-root ranks pass
-// their contribution and receive nil; the root receives a slice indexed by
-// rank (its own entry set to its contribution). bytes models each
-// contribution's size.
-func (p *Proc) Gather(root, tag int, contribution any, bytes float64) ([]any, float64) {
-	size := p.world.size
-	if root < 0 || root >= size {
-		panic(fmt.Sprintf("vmpi: gather with invalid root %d", root))
-	}
-	if p.rank != root {
-		return nil, p.Send(root, tag, contribution, bytes)
-	}
-	out := make([]any, size)
-	out[root] = contribution
-	var elapsed float64
-	for r := 0; r < size; r++ {
-		if r == root {
-			continue
-		}
-		msg, w := p.Recv(r, tag)
-		elapsed += w
-		out[r] = msg.Data
-	}
-	return out, elapsed
 }

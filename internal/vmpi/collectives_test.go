@@ -1,6 +1,7 @@
 package vmpi
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func testBcastDelivery(t *testing.T, alg BcastAlg, size, root int) {
 	t.Helper()
 	w, _ := NewWorld(size, constTransfer(1, 1e6))
 	payload := "panel-42"
-	w.Run(func(p *Proc) {
+	mustRun(t, w, func(p *Proc) {
 		var in any
 		if p.Rank() == root {
 			in = payload
@@ -55,7 +56,7 @@ func TestBcastInvalidRootPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	w.Run(func(p *Proc) {
+	mustRun(t, w, func(p *Proc) {
 		p.Bcast(7, 0, nil, 0, BcastRing)
 	})
 }
@@ -65,7 +66,7 @@ func TestBcastRingCriticalPathGrowsWithP(t *testing.T) {
 	// (P−1)·O(N²) behaviour the paper's model assumes.
 	lastClock := func(size int) float64 {
 		w, _ := NewWorld(size, constTransfer(0.001, 1e6))
-		clocks := w.Run(func(p *Proc) {
+		clocks := mustRun(t, w, func(p *Proc) {
 			var in any
 			if p.Rank() == 0 {
 				in = 1
@@ -89,7 +90,7 @@ func TestBcastRingCriticalPathGrowsWithP(t *testing.T) {
 func TestBcastBinomialFasterThanRingForLargeP(t *testing.T) {
 	maxClock := func(alg BcastAlg) float64 {
 		w, _ := NewWorld(16, constTransfer(0.001, 1e6))
-		clocks := w.Run(func(p *Proc) {
+		clocks := mustRun(t, w, func(p *Proc) {
 			var in any
 			if p.Rank() == 0 {
 				in = 1
@@ -112,7 +113,7 @@ func TestBcastBinomialFasterThanRingForLargeP(t *testing.T) {
 
 func TestBarrierSynchronizesClocks(t *testing.T) {
 	w, _ := NewWorld(4, constTransfer(0.01, 1e9))
-	clocks := w.Run(func(p *Proc) {
+	clocks := mustRun(t, w, func(p *Proc) {
 		p.Advance(float64(p.Rank() * 10)) // ranks wildly out of sync
 		p.Barrier(100)
 	})
@@ -124,37 +125,9 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	w, _ := NewWorld(5, constTransfer(0.001, 1e6))
-	w.Run(func(p *Proc) {
-		out, _ := p.Gather(2, 9, p.Rank()*11, 8)
-		if p.Rank() == 2 {
-			for r := 0; r < 5; r++ {
-				if out[r].(int) != r*11 {
-					t.Errorf("gather[%d] = %v", r, out[r])
-				}
-			}
-		} else if out != nil {
-			t.Errorf("non-root got %v", out)
-		}
-	})
-}
-
-func TestGatherInvalidRootPanics(t *testing.T) {
-	w, _ := NewWorld(2, constTransfer(0, 1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	w.Run(func(p *Proc) {
-		p.Gather(-1, 0, nil, 0)
-	})
-}
-
 func TestBcastSingleRank(t *testing.T) {
 	w, _ := NewWorld(1, constTransfer(0, 1))
-	w.Run(func(p *Proc) {
+	mustRun(t, w, func(p *Proc) {
 		out, elapsed := p.Bcast(0, 0, "x", 100, BcastRing)
 		if out.(string) != "x" || elapsed != 0 {
 			t.Errorf("single-rank bcast: %v %v", out, elapsed)
@@ -165,62 +138,56 @@ func TestBcastSingleRank(t *testing.T) {
 	})
 }
 
-func TestReduceSum(t *testing.T) {
-	sum := func(a, b any) any { return a.(int) + b.(int) }
-	for _, size := range []int{1, 2, 3, 5, 8, 13} {
-		for root := 0; root < size; root += 2 {
-			w, _ := NewWorld(size, constTransfer(0.001, 1e6))
-			w.Run(func(p *Proc) {
-				got, _ := p.Reduce(root, 3, p.Rank()+1, 8, sum)
-				want := size * (size + 1) / 2
-				if p.Rank() == root {
-					if got.(int) != want {
-						t.Errorf("size %d root %d: reduce = %v, want %d", size, root, got, want)
-					}
-				} else if got != nil {
-					t.Errorf("non-root got %v", got)
-				}
-			})
+// TestTreeMatchesLoopForms holds Tree against the loop-written ring and
+// binomial walks it replaces: the same parent and the same children in the
+// same order, for every virtual rank of every size up to 70.
+func TestTreeMatchesLoopForms(t *testing.T) {
+	walk := func(alg BcastAlg, v, n int) (parent int, children []int) {
+		if alg == BcastRing {
+			parent = v - 1
+			if v+1 < n {
+				children = []int{v + 1}
+			}
+			return parent, children
 		}
+		parent, mask := -1, 1
+		if v != 0 {
+			for v&mask == 0 {
+				mask <<= 1
+			}
+			parent = v &^ mask
+		} else {
+			for mask < n {
+				mask <<= 1
+			}
+		}
+		for mask >>= 1; mask > 0; mask >>= 1 {
+			if v+mask < n {
+				children = append(children, v+mask)
+			}
+		}
+		return parent, children
 	}
-}
-
-func TestAllreduceMax(t *testing.T) {
-	max := func(a, b any) any {
-		if a.(float64) > b.(float64) {
-			return a
-		}
-		return b
-	}
-	w, _ := NewWorld(7, constTransfer(0.001, 1e6))
-	w.Run(func(p *Proc) {
-		got, elapsed := p.Allreduce(11, float64(p.Rank()*10), 8, max)
-		if got.(float64) != 60 {
-			t.Errorf("rank %d allreduce = %v, want 60", p.Rank(), got)
-		}
-		if elapsed < 0 {
-			t.Errorf("negative elapsed %v", elapsed)
-		}
-	})
-}
-
-func TestReduceInvalidArgsPanics(t *testing.T) {
-	w, _ := NewWorld(2, constTransfer(0, 1))
-	for _, tc := range []struct {
-		name string
-		body func(p *Proc)
-	}{
-		{"bad root", func(p *Proc) { p.Reduce(9, 0, 1, 0, func(a, b any) any { return a }) }},
-		{"nil op", func(p *Proc) { p.Reduce(0, 0, 1, 0, nil) }},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", tc.name)
+	for _, alg := range []BcastAlg{BcastRing, BcastBinomial} {
+		for n := 1; n <= 70; n++ {
+			reached := make([]int, n)
+			for v := 0; v < n; v++ {
+				parent, first := alg.Tree(v, n)
+				var children []int
+				for m := first; m > 0; m >>= 1 {
+					children = append(children, v+m)
+					reached[v+m]++
 				}
-			}()
-			w.Run(tc.body)
-		}()
-		w, _ = NewWorld(2, constTransfer(0, 1))
+				wantParent, wantChildren := walk(alg, v, n)
+				if parent != wantParent || !slices.Equal(children, wantChildren) {
+					t.Fatalf("%v n=%d v=%d: parent %d children %v, want %d %v", alg, n, v, parent, children, wantParent, wantChildren)
+				}
+			}
+			for v := 1; v < n; v++ {
+				if reached[v] != 1 {
+					t.Fatalf("%v n=%d: virtual rank %d reached %d times", alg, n, v, reached[v])
+				}
+			}
+		}
 	}
 }

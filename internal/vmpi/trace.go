@@ -20,11 +20,11 @@ type TraceEvent struct {
 }
 
 // Tracer collects per-rank timelines of a run. Install with
-// World.SetTracer before Run; safe for concurrent ranks. A single Tracer
-// may also be shared by concurrent Runs (e.g. a parallel measurement
-// campaign): recording stays race-free behind the mutex, though events of
-// different runs interleave in the buffer — Events() sorts by (rank,
-// start), so same-rank events from different runs will mix.
+// World.SetTracer before Run. A single Tracer may be shared by concurrent
+// Runs (e.g. a parallel measurement campaign): recording stays race-free
+// behind the mutex, though events of different runs interleave in the
+// buffer — Events() sorts by (rank, start), so same-rank events from
+// different runs will mix.
 type Tracer struct {
 	mu     sync.Mutex
 	events []TraceEvent

@@ -1,13 +1,17 @@
 // Package vmpi implements a virtual-time message-passing runtime: the MPI
 // substitute on which the HPL reproduction runs.
 //
-// Each rank executes as a goroutine with its own virtual clock. Sends are
-// eager and buffered: the sender pays the transfer time on its clock and the
-// message records when its data is available; a receiver blocks (in real
-// time) until a matching message exists, then advances its virtual clock to
-// max(own clock, availability). This yields a deterministic, deadlock-free
-// simulation of blocking MPI semantics without a global event queue, while
-// still moving real payload data (used by the numeric HPL mode).
+// Each rank executes as a coroutine with its own virtual clock, and one
+// scheduler (Schedule) runs the ranks one at a time on the caller's
+// goroutine. Sends are eager and buffered: the sender pays the transfer time
+// on its clock and the message records when its data is available. A
+// receive that finds no matching message yields to the scheduler, which runs
+// the rank it waits on; once the message exists the receiver advances its
+// virtual clock to max(own clock, availability). A rank's clock depends only
+// on its own program and the messages it matches, never on the schedule, so
+// the simulation of blocking MPI semantics is deterministic without a global
+// event queue, while still moving real payload data (used by the numeric HPL
+// mode). Ranks that wait on each other are reported as ErrDeadlock.
 //
 // Timing is injected via a TransferTime function, typically backed by
 // internal/simnet, so intra-node and inter-node paths and library software
@@ -17,8 +21,8 @@ package vmpi
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
-	"sync"
 )
 
 // TransferTime returns the one-way virtual seconds needed to move `bytes`
@@ -40,8 +44,7 @@ const (
 
 // Message is a delivered point-to-point payload. The pointer returned by
 // Recv aliases per-Proc scratch and is valid only until the next Recv on
-// the same Proc; the Data payload it carries is never recycled and may be
-// retained.
+// the same Proc; the Data payload it carries may be retained.
 type Message struct {
 	Src, Tag int
 	// Data is the payload; nil in timing-only (phantom) runs.
@@ -66,12 +69,20 @@ type World struct {
 	size       int
 	transfer   TransferTime
 	rendezvous RendezvousFn
-	boxes      []*mailbox
 	tracer     *Tracer
+	// boxes holds each rank's queued messages in arrival order.
+	boxes [][]Message
+	// moves counts messages posted and taken: the scheduler's measure of
+	// progress.
+	moves int
 }
 
 // ErrBadWorld reports invalid world construction parameters.
 var ErrBadWorld = errors.New("vmpi: invalid world")
+
+// ErrDeadlock reports ranks that wait on each other, or on a rank that has
+// finished.
+var ErrDeadlock = errors.New("vmpi: deadlock")
 
 // NewWorld creates a communicator of `size` ranks with the given transfer
 // model.
@@ -82,11 +93,7 @@ func NewWorld(size int, transfer TransferTime) (*World, error) {
 	if transfer == nil {
 		return nil, fmt.Errorf("%w: nil transfer model", ErrBadWorld)
 	}
-	w := &World{size: size, transfer: transfer, boxes: make([]*mailbox, size)}
-	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
-	}
-	return w, nil
+	return &World{size: size, transfer: transfer, boxes: make([][]Message, size)}, nil
 }
 
 // SetRendezvous installs the protocol-selection predicate. Call before Run.
@@ -95,39 +102,109 @@ func (w *World) SetRendezvous(fn RendezvousFn) { w.rendezvous = fn }
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 
-// Run executes body once per rank concurrently and returns each rank's
-// final virtual clock. It blocks until every rank returns. A panic in any
-// rank is re-raised on the caller after all other ranks finish or block
-// permanently; bodies must therefore not panic in normal operation.
-func (w *World) Run(body func(p *Proc)) []float64 {
+// Run executes body once per rank and returns each rank's final virtual
+// clock. Each rank is a coroutine; Schedule runs them one at a time on the
+// caller's goroutine. Ranks that wait on each other make Run return an error
+// wrapping ErrDeadlock, and a panic in a rank is re-raised on the caller.
+// Every coroutine is stopped before Run returns.
+func (w *World) Run(body func(p *Proc)) ([]float64, error) {
+	for r, box := range w.boxes {
+		clear(box) // a deadlocked run may leave payloads queued
+		w.boxes[r] = box[:0]
+	}
+	procs := make([]Proc, w.size)
+	next := make([]func() (int, bool), w.size)
+	stops := make([]func(), w.size)
+	for r := range procs {
+		p := &procs[r]
+		p.world, p.rank = w, r
+		next[r], stops[r] = iter.Pull(p.coroutine(body))
+	}
+	defer func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}()
+	err := Schedule(w.size, &w.moves, func(rank int) int {
+		if on, ok := next[rank](); ok {
+			return on
+		}
+		return -1
+	})
+	if err != nil {
+		return nil, err
+	}
 	clocks := make([]float64, w.size)
-	var wg sync.WaitGroup
-	panics := make(chan any, w.size)
-	for r := 0; r < w.size; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					panics <- v
-					// Unblock any rank waiting on us forever.
-					for _, b := range w.boxes {
-						b.poison()
-					}
-				}
-			}()
-			p := &Proc{world: w, rank: rank}
-			body(p)
-			clocks[rank] = p.clock
-		}(r)
+	for r := range procs {
+		clocks[r] = procs[r].clock
 	}
-	wg.Wait()
-	select {
-	case v := <-panics:
-		panic(v)
-	default:
+	return clocks, nil
+}
+
+// Schedule runs ranks 0..n-1 to completion, one at a time on the caller's
+// goroutine. step advances rank until it finishes, returning -1, or blocks
+// on a message, returning the rank it waits for; Schedule then runs that
+// rank, following the wait chain, and after a rank finishes resumes the
+// lowest unfinished one. *moves counts the messages the ranks have posted
+// and taken: a chain of more than n blocked ranks with no message moved in
+// between has revisited a rank that still cannot proceed, and Schedule
+// returns an error wrapping ErrDeadlock.
+//
+// World.Run steps coroutines with it; the phantom HPL engine steps its
+// hand-written rank state machines.
+func Schedule(n int, moves *int, step func(rank int) int) error {
+	if rank, peer := schedule(make([]bool, n), moves, step); rank >= 0 {
+		return fmt.Errorf("%w: rank %d waits on rank %d, which cannot proceed", ErrDeadlock, rank, peer)
 	}
-	return clocks
+	return nil
+}
+
+// schedule is Schedule's loop: one step call per block. It returns -1, -1
+// when every rank finished, or the blocked rank and the peer it waits on.
+//
+//het:hotpath
+//het:allocfree
+func schedule(finished []bool, moves *int, step func(rank int) int) (rank, peer int) {
+	n := len(finished)
+	cur, chain := 0, 0
+	for left := n; left > 0; {
+		before := *moves
+		on := step(cur)
+		if on < 0 {
+			finished[cur] = true
+			left--
+			chain = 0
+			for cur = 0; cur < n && finished[cur]; cur++ {
+			}
+			continue
+		}
+		if *moves != before {
+			chain = 0
+		}
+		chain++
+		if finished[on] || chain > n {
+			return cur, on
+		}
+		cur = on
+	}
+	return -1, -1
+}
+
+// errStopped unwinds a rank whose coroutine Run stops while it waits.
+var errStopped = errors.New("vmpi: rank stopped")
+
+// coroutine wraps body as the rank's coroutine: yielding the rank it waits
+// on, and unwinding when Run stops it.
+func (p *Proc) coroutine(body func(p *Proc)) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		defer func() {
+			if v := recover(); v != nil && v != errStopped {
+				panic(v)
+			}
+		}()
+		p.yield = yield
+		body(p)
+	}
 }
 
 // Proc is the per-rank handle passed to the Run body.
@@ -135,9 +212,11 @@ type Proc struct {
 	world *World
 	rank  int
 	clock float64
+	// yield suspends the rank's coroutine, naming the rank it waits on.
+	yield func(int) bool
 
 	// last is the scratch the most recent receive was copied into; Recv
-	// returns &last so the pooled envelope can be recycled immediately.
+	// returns &last.
 	last Message
 
 	// SentBytes and RecvBytes accumulate modelled traffic volume.
@@ -190,8 +269,8 @@ func (p *Proc) SendScalars(dst, tag int, x float64, y int, bytes float64) float6
 }
 
 // send pays the modelled transfer on the per-message envelope path; it runs
-// once per simulated MPI message, so it must not allocate beyond the pooled
-// envelope (TestSendRecvSteadyStateAllocs asserts the steady state).
+// once per simulated MPI message, so it must not allocate
+// (TestSendRecvSteadyStateAllocs asserts the steady state).
 //
 //het:hotpath
 //het:allocfree
@@ -207,6 +286,10 @@ func (p *Proc) send(dst, tag int, data any, valF float64, valI int, bytes float6
 	}
 	w := p.world
 	start := p.clock
+	dt := w.transfer(bytes, p.rank, dst)
+	if dt < 0 || math.IsNaN(dt) {
+		dt = 0
+	}
 	if w.rendezvous != nil && w.rendezvous(bytes, p.rank, dst) {
 		// Rendezvous, collapsed to two envelopes: the request-to-send
 		// carries the payload and the precomputed transfer duration
@@ -218,23 +301,15 @@ func (p *Proc) send(dst, tag int, data any, valF float64, valI int, bytes float6
 		// at that time. The sender still blocks until the receive is
 		// posted, the property that makes superfluous processes
 		// expensive.
-		dt := w.transfer(bytes, p.rank, dst)
-		if dt < 0 || math.IsNaN(dt) {
-			dt = 0
-		}
-		w.boxes[dst].post(Message{Src: p.rank, Tag: tag, Data: data, Bytes: bytes, valF: valF, valI: valI, availAt: p.clock, dt: dt, kind: kindRTS})
+		w.post(dst, Message{Src: p.rank, Tag: tag, Data: data, Bytes: bytes, valF: valF, valI: valI, availAt: p.clock, dt: dt, kind: kindRTS})
 		var ack Message
-		w.boxes[p.rank].take(&ack, dst, tag, kindAck)
+		p.take(&ack, dst, tag, kindAck)
 		if ack.availAt > p.clock {
 			p.clock = ack.availAt
 		}
 	} else {
-		dt := w.transfer(bytes, p.rank, dst)
-		if dt < 0 || math.IsNaN(dt) {
-			dt = 0
-		}
 		p.clock += dt
-		w.boxes[dst].post(Message{Src: p.rank, Tag: tag, Data: data, Bytes: bytes, valF: valF, valI: valI, availAt: p.clock, kind: kindEager})
+		w.post(dst, Message{Src: p.rank, Tag: tag, Data: data, Bytes: bytes, valF: valF, valI: valI, availAt: p.clock, kind: kindEager})
 	}
 	p.SentBytes += bytes
 	p.Sends++
@@ -261,8 +336,7 @@ func (p *Proc) RecvScalars(src, tag int) (x float64, y int, elapsed float64) {
 	return p.last.valF, p.last.valI, elapsed
 }
 
-// recv performs the protocol, copying the delivered envelope into p.last
-// (the envelope itself is recycled inside the mailbox).
+// recv performs the protocol, copying the delivered envelope into p.last.
 //
 //het:hotpath
 //het:allocfree
@@ -272,7 +346,7 @@ func (p *Proc) recv(src, tag int) float64 {
 	}
 	w := p.world
 	start := p.clock
-	w.boxes[p.rank].take(&p.last, src, tag, kindEager|kindRTS)
+	p.take(&p.last, src, tag, kindEager|kindRTS)
 	if p.last.kind == kindRTS {
 		// Rendezvous: the RTS carries payload and transfer duration; stamp
 		// the completion time and release the sender with it.
@@ -280,7 +354,7 @@ func (p *Proc) recv(src, tag int) float64 {
 			p.clock = p.last.availAt
 		}
 		p.clock += p.last.dt
-		w.boxes[src].post(Message{Src: p.rank, Tag: tag, availAt: p.clock, kind: kindAck})
+		w.post(src, Message{Src: p.rank, Tag: tag, availAt: p.clock, kind: kindAck})
 	} else if p.last.availAt > p.clock {
 		p.clock = p.last.availAt
 	}
@@ -292,28 +366,6 @@ func (p *Proc) recv(src, tag int) float64 {
 	return p.clock - start
 }
 
-// msgPool recycles Message envelopes across mailboxes and Worlds. Worlds are
-// short-lived (one per simulated run), so a package-level pool is what makes
-// the send/recv path allocation-free in the steady state of a campaign or
-// sweep (asserted by TestSendRecvSteadyStateAllocs): each run draws warm
-// envelopes left over from the previous one.
-var msgPool = sync.Pool{New: func() any { return new(Message) }}
-
-// mailbox is an unbounded buffered queue with (src, tag) matching.
-type mailbox struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	msgs     []*Message
-	waiting  bool
-	poisoned bool
-}
-
-func newMailbox() *mailbox {
-	b := &mailbox{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
 // panicBadRank reports an out-of-range peer rank. It lives outside the hot
 // send/recv bodies so their zero-allocation envelope paths carry no fmt
 // calls; the formatting cost lands only on the panicking (cold) path.
@@ -321,63 +373,40 @@ func panicBadRank(op string, rank, size int) {
 	panic(fmt.Sprintf("vmpi: %s invalid rank %d (size %d)", op, rank, size))
 }
 
-// post enqueues a copy of m in a pooled envelope.
+// post queues m at rank dst.
 //
 //het:hotpath
 //het:allocfree
-func (b *mailbox) post(m Message) {
-	env := msgPool.Get().(*Message)
-	*env = m
-	b.mu.Lock()
+func (w *World) post(dst int, m Message) {
 	// The queue's backing array reaches its high-water mark within the first
-	// few messages of a run and is reused for the rest of it.
-	b.msgs = append(b.msgs, env) //het:allow hotpath allocfree -- unbounded queue; capacity amortizes across the run
-	// Only pay the wakeup when the owner is actually parked; on a busy
-	// single-CPU host the receiver usually drains without ever waiting.
-	wake := b.waiting
-	b.mu.Unlock()
-	if wake {
-		b.cond.Broadcast()
-	}
+	// few messages of a run and is reused for the rest of it, and by the
+	// world's later runs.
+	w.boxes[dst] = append(w.boxes[dst], m) //het:allow hotpath allocfree -- unbounded queue; capacity amortizes across the run
+	w.moves++
 }
 
-// poison wakes all waiters permanently (used when a sibling rank panics so
-// Run can terminate instead of deadlocking).
-func (b *mailbox) poison() {
-	b.mu.Lock()
-	b.poisoned = true
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// take blocks until a message matching (src, tag, kindMask) exists, copies it
-// into dst, and recycles the envelope. The payload reference is cleared from
-// the recycled envelope so the pool never keeps payloads alive.
+// take removes the first message queued at p that matches (src, tag,
+// kindMask) into dst, yielding to src until one arrives.
 //
 //het:hotpath
 //het:allocfree
-func (b *mailbox) take(dst *Message, src, tag, kindMask int) {
-	b.mu.Lock()
+func (p *Proc) take(dst *Message, src, tag, kindMask int) {
+	w := p.world
 	for {
-		for i, m := range b.msgs {
-			if m.Src == src && m.Tag == tag && m.kind&kindMask != 0 {
-				last := len(b.msgs) - 1
-				copy(b.msgs[i:], b.msgs[i+1:])
-				b.msgs[last] = nil // drop the stale tail reference
-				b.msgs = b.msgs[:last]
-				b.mu.Unlock()
+		box := w.boxes[p.rank]
+		for i := range box {
+			if m := &box[i]; m.Src == src && m.Tag == tag && m.kind&kindMask != 0 {
 				*dst = *m
-				*m = Message{}
-				msgPool.Put(m)
+				last := len(box) - 1
+				copy(box[i:], box[i+1:])
+				box[last] = Message{} // drop the stale payload reference
+				w.boxes[p.rank] = box[:last]
+				w.moves++
 				return
 			}
 		}
-		if b.poisoned {
-			b.mu.Unlock()
-			panic("vmpi: world poisoned by sibling rank failure")
+		if !p.yield(src) {
+			panic(errStopped)
 		}
-		b.waiting = true
-		b.cond.Wait()
-		b.waiting = false
 	}
 }

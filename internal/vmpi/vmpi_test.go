@@ -2,11 +2,11 @@ package vmpi
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 // constTransfer returns a transfer model with fixed latency and bandwidth.
@@ -14,6 +14,16 @@ func constTransfer(latency, bandwidth float64) TransferTime {
 	return func(bytes float64, src, dst int) float64 {
 		return latency + bytes/bandwidth
 	}
+}
+
+// mustRun runs body on w and fails the test if the world deadlocks.
+func mustRun(t *testing.T, w *World, body func(p *Proc)) []float64 {
+	t.Helper()
+	clocks, err := w.Run(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clocks
 }
 
 func TestNewWorldValidation(t *testing.T) {
@@ -31,7 +41,7 @@ func TestNewWorldValidation(t *testing.T) {
 
 func TestPingPongClocks(t *testing.T) {
 	w, _ := NewWorld(2, constTransfer(1, 100))
-	clocks := w.Run(func(p *Proc) {
+	clocks := mustRun(t, w, func(p *Proc) {
 		switch p.Rank() {
 		case 0:
 			p.Advance(5)
@@ -64,7 +74,7 @@ func TestPingPongClocks(t *testing.T) {
 
 func TestRecvAlreadyAvailableNoWait(t *testing.T) {
 	w, _ := NewWorld(2, constTransfer(1, 1e9))
-	w.Run(func(p *Proc) {
+	mustRun(t, w, func(p *Proc) {
 		switch p.Rank() {
 		case 0:
 			p.Send(1, 7, nil, 0)
@@ -80,7 +90,7 @@ func TestRecvAlreadyAvailableNoWait(t *testing.T) {
 
 func TestAdvanceIgnoresBadInput(t *testing.T) {
 	w, _ := NewWorld(1, constTransfer(0, 1))
-	w.Run(func(p *Proc) {
+	mustRun(t, w, func(p *Proc) {
 		if p.Advance(-1) != 0 || p.Advance(math.NaN()) != 0 {
 			t.Error("bad Advance input not ignored")
 		}
@@ -93,7 +103,7 @@ func TestAdvanceIgnoresBadInput(t *testing.T) {
 
 func TestTagMatching(t *testing.T) {
 	w, _ := NewWorld(2, constTransfer(0, 1e9))
-	w.Run(func(p *Proc) {
+	mustRun(t, w, func(p *Proc) {
 		switch p.Rank() {
 		case 0:
 			p.Send(1, 1, "first", 0)
@@ -114,7 +124,7 @@ func TestTagMatching(t *testing.T) {
 
 func TestFIFOWithinSameTag(t *testing.T) {
 	w, _ := NewWorld(2, constTransfer(0, 1e9))
-	w.Run(func(p *Proc) {
+	mustRun(t, w, func(p *Proc) {
 		switch p.Rank() {
 		case 0:
 			for i := 0; i < 5; i++ {
@@ -133,7 +143,7 @@ func TestFIFOWithinSameTag(t *testing.T) {
 
 func TestTrafficAccounting(t *testing.T) {
 	w, _ := NewWorld(2, constTransfer(0, 1e6))
-	w.Run(func(p *Proc) {
+	mustRun(t, w, func(p *Proc) {
 		switch p.Rank() {
 		case 0:
 			p.Send(1, 1, nil, 500)
@@ -156,7 +166,7 @@ func TestSendSelfPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	w.Run(func(p *Proc) {
+	mustRun(t, w, func(p *Proc) {
 		p.Send(0, 0, nil, 0)
 	})
 }
@@ -168,7 +178,7 @@ func TestSendInvalidRankPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	w.Run(func(p *Proc) {
+	mustRun(t, w, func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Send(5, 0, nil, 0)
 		}
@@ -177,7 +187,7 @@ func TestSendInvalidRankPanics(t *testing.T) {
 
 func TestNegativeBytesClamped(t *testing.T) {
 	w, _ := NewWorld(2, constTransfer(1, 1))
-	w.Run(func(p *Proc) {
+	mustRun(t, w, func(p *Proc) {
 		switch p.Rank() {
 		case 0:
 			dt := p.Send(1, 1, nil, -100)
@@ -194,7 +204,7 @@ func TestManyRanksDeterministicClocks(t *testing.T) {
 	// A chain of dependent sends must produce identical clocks run-to-run.
 	run := func() []float64 {
 		w, _ := NewWorld(8, constTransfer(0.5, 2000))
-		return w.Run(func(p *Proc) {
+		return mustRun(t, w, func(p *Proc) {
 			p.Advance(float64(p.Rank()))
 			if p.Rank() > 0 {
 				p.Recv(p.Rank()-1, 0)
@@ -218,19 +228,21 @@ func TestManyRanksDeterministicClocks(t *testing.T) {
 	}
 }
 
+// TestConcurrentMailboxStress queues many messages from several senders at
+// one receiver, which drains them in an order unlike their arrival: the
+// receiver's queue grows deep and every receive scans it.
 func TestConcurrentMailboxStress(t *testing.T) {
-	// Many senders to one receiver with interleaved tags.
 	const senders = 6
 	const msgs = 200
 	w, _ := NewWorld(senders+1, constTransfer(0, 1e12))
-	var got sync.Map
-	w.Run(func(p *Proc) {
+	got := map[[2]int]any{}
+	mustRun(t, w, func(p *Proc) {
 		if p.Rank() == senders {
 			for i := 0; i < senders*msgs; i++ {
 				// Round-robin across sources to force queue scans.
 				src := i % senders
 				m, _ := p.Recv(src, i/senders)
-				got.Store([2]int{src, i / senders}, m.Data)
+				got[[2]int{src, i / senders}] = m.Data
 			}
 			return
 		}
@@ -238,38 +250,59 @@ func TestConcurrentMailboxStress(t *testing.T) {
 			p.Send(senders, i, i*1000+p.Rank(), 8)
 		}
 	})
-	count := 0
-	got.Range(func(k, v any) bool { count++; return true })
-	if count != senders*msgs {
-		t.Fatalf("received %d messages, want %d", count, senders*msgs)
+	if len(got) != senders*msgs {
+		t.Fatalf("received %d messages, want %d", len(got), senders*msgs)
+	}
+	for k, v := range got {
+		if v.(int) != k[1]*1000+k[0] {
+			t.Fatalf("message %v carries %v", k, v)
+		}
 	}
 }
 
-// Failure injection: when one rank panics, waiting siblings must be
-// released (poisoned) and Run must re-raise the panic instead of hanging.
+// Failure injection: a rank's panic reaches Run's caller, and the coroutines
+// of the siblings waiting on it are stopped rather than leaked.
 func TestWorldPoisonOnRankPanic(t *testing.T) {
 	w, _ := NewWorld(3, constTransfer(0, 1e6))
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
+	before := runtime.NumGoroutine()
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
 		w.Run(func(p *Proc) {
 			switch p.Rank() {
 			case 0:
+				p.Advance(1)
 				panic("rank 0 exploded")
 			default:
-				// These would block forever without poisoning.
 				p.Recv(0, 42)
 			}
 		})
-		done <- nil
 	}()
-	select {
-	case v := <-done:
-		if v == nil {
-			t.Fatal("Run returned without re-raising the panic")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("world deadlocked after rank panic")
+	if recovered != "rank 0 exploded" {
+		t.Fatalf("recovered %v, want rank 0's panic", recovered)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines went from %d to %d across a panicking run", before, after)
+	}
+	// The world stays usable.
+	if clocks := mustRun(t, w, func(p *Proc) { p.Advance(2) }); clocks[2] != 2 {
+		t.Fatalf("clocks after the panic = %v", clocks)
+	}
+}
+
+// Ranks that receive from each other make Run return ErrDeadlock instead of
+// hanging, with every coroutine stopped.
+func TestWorldReportsDeadlock(t *testing.T) {
+	w, _ := NewWorld(2, constTransfer(0, 1e6))
+	before := runtime.NumGoroutine()
+	clocks, err := w.Run(func(p *Proc) {
+		p.Recv(1-p.Rank(), 5)
+	})
+	if !errors.Is(err, ErrDeadlock) || clocks != nil {
+		t.Fatalf("Run = %v, %v; want ErrDeadlock", clocks, err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines went from %d to %d across a deadlocked run", before, after)
 	}
 }
 
@@ -285,7 +318,7 @@ func TestRendezvousBlocksSender(t *testing.T) {
 	// Eager: sender's availability time is its own send completion; a
 	// receiver that posts late still sees data available early.
 	w := mk()
-	clocks := w.Run(func(p *Proc) {
+	clocks := mustRun(t, w, func(p *Proc) {
 		switch p.Rank() {
 		case 0:
 			p.Send(1, 1, nil, 512) // eager
@@ -303,7 +336,7 @@ func TestRendezvousBlocksSender(t *testing.T) {
 	// Rendezvous: the sender cannot complete before the receiver posts at
 	// t=100, so its clock ends past 100.
 	w = mk()
-	clocks = w.Run(func(p *Proc) {
+	clocks = mustRun(t, w, func(p *Proc) {
 		switch p.Rank() {
 		case 0:
 			p.Send(1, 1, nil, 4096) // rendezvous
@@ -321,7 +354,7 @@ func TestTracerRecordsTimeline(t *testing.T) {
 	w, _ := NewWorld(2, constTransfer(1, 100))
 	tr := NewTracer()
 	w.SetTracer(tr)
-	w.Run(func(p *Proc) {
+	mustRun(t, w, func(p *Proc) {
 		switch p.Rank() {
 		case 0:
 			p.Advance(5)
@@ -366,5 +399,5 @@ func TestNilTracerSafe(t *testing.T) {
 	tr.record(TraceEvent{}) // must not panic
 	w, _ := NewWorld(1, constTransfer(0, 1))
 	w.SetTracer(nil)
-	w.Run(func(p *Proc) { p.Advance(1) })
+	mustRun(t, w, func(p *Proc) { p.Advance(1) })
 }
