@@ -21,17 +21,15 @@ fmt:
 	fi
 
 # Static analysis. The repo's own invariant analyzers (cmd/hetlint, see
-# DESIGN.md §11 and §16) run twice: through go vet, so the per-package suite
-# (maporder, hotpath, nodeterm, floatorder, atomicfield) is cached per
-# package, and standalone, which loads the whole module into one program so
-# the cross-package analyzers (hotpathprop, allocfree, lockorder) see the
-# full call graph — the vet form only sees intra-package edges. staticcheck
-# and shellcheck run when installed and are skipped otherwise (the CI lint
-# job always has them, so skipping locally never hides a gate).
+# DESIGN.md §11) load the whole module into one program: the per-package
+# suite (maporder, hotpath, nodeterm, floatorder, atomicfield) runs over each
+# package and the cross-package analyzers (hotpathprop, allocfree,
+# lockorder) over the full call graph. staticcheck and shellcheck run when
+# installed and are skipped otherwise (the CI lint job always has them, so
+# skipping locally never hides a gate).
 lint:
 	@mkdir -p bin
 	$(GO) build -o bin/hetlint ./cmd/hetlint
-	$(GO) vet -vettool=bin/hetlint ./...
 	bin/hetlint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"hetmodel/internal/experiments"
-	"hetmodel/internal/profiling"
 	"hetmodel/internal/version"
 )
 
@@ -24,16 +23,9 @@ func main() {
 	out := flag.String("out", "", "write the report to this file instead of stdout")
 	svgDir := flag.String("svg", "", "also render every figure as SVG into this directory")
 	workers := flag.Int("workers", 0, "concurrent simulations per campaign/sweep (0 = GOMAXPROCS, 1 = sequential)")
-	prof := profiling.AddFlags(nil)
 	version.AddFlag()
 	flag.Parse()
 	version.MaybePrint("experiments")
-	stopProf, err := prof.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProf()
-
 	ctx, err := experiments.NewPaperContext()
 	if err != nil {
 		log.Fatal(err)

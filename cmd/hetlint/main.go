@@ -1,37 +1,29 @@
 // Command hetlint runs this repository's invariant analyzers — per-package
 // (maporder, hotpath, nodeterm, floatorder, atomicfield) and whole-program
-// (hotpathprop, allocfree, lockorder); see internal/analysis — in two modes:
+// (hotpathprop, allocfree, lockorder); see internal/analysis:
 //
-//	hetlint ./...                 standalone: load, type-check, analyze
-//	go vet -vettool=$(which hetlint) ./...
+//	hetlint ./...
 //
-// The second form speaks the vet unitchecker protocol (-V=full, -flags, and
-// per-package *.cfg configs), so the suite runs incrementally under the go
-// command's build cache exactly like the built-in vet analyzers. Because the
-// protocol hands over one package at a time, the whole-program analyzers see
-// only intra-package call edges there; the standalone form loads every
-// matched package into one program and checks the full cross-package call
-// graph. make lint and the CI lint job run both.
+// It loads and type-checks every matched package from source as one
+// program, runs the per-package analyzers over each package and the
+// whole-program analyzers over the full cross-package call graph. make lint
+// and the CI lint job run it.
 //
 // Individual analyzers toggle like vet passes: `hetlint -maporder ./...`
 // runs only maporder; `hetlint -maporder=false ./...` runs all but.
 //
-// -json switches the standalone form to machine-readable output: a JSON
-// array of {file, line, col, analyzer, message} objects on stdout (empty
-// array when clean; exit status 1 when findings exist). CI uploads it as
-// the lint job's artifact.
+// -json switches to machine-readable output: a JSON array of {file, line,
+// col, analyzer, message} objects on stdout (empty array when clean; exit
+// status 1 when findings exist). CI uploads it as the lint job's artifact.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"go/token"
-	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"hetmodel/internal/analysis"
@@ -53,27 +45,17 @@ func main() {
 		doc, _, _ := strings.Cut(a.Doc, "\n")
 		selected[a.Name] = triStateFlag(a.Name, "enable "+a.Name+" analysis (whole-program): "+doc)
 	}
-	printflags := flag.Bool("flags", false, "print analyzer flags in JSON (vet protocol)")
-	jsonOut := flag.Bool("json", false, "standalone mode: emit diagnostics as a JSON array on stdout")
-	flag.Var(versionFlag{}, "V", "print version and exit (vet protocol)")
+	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	version.AddFlag()
 	flag.Parse()
-	if *printflags {
-		printFlags()
-		return
-	}
 	version.MaybePrint("hetlint")
 
 	enabled, enabledProg := enabledAnalyzers(all, prog, selected)
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnit(args[0], enabled, enabledProg)
-		return
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	runStandalone(args, enabled, enabledProg, *jsonOut)
+	run(args, enabled, enabledProg, *jsonOut)
 }
 
 // enabledAnalyzers applies vet's selection semantics across both analyzer
@@ -123,7 +105,7 @@ type jsonDiagnostic struct {
 	Message  string `json:"message"`
 }
 
-func runStandalone(patterns []string, enabled []*analysis.Analyzer, enabledProg []*analysis.ProgramAnalyzer, jsonOut bool) {
+func run(patterns []string, enabled []*analysis.Analyzer, enabledProg []*analysis.ProgramAnalyzer, jsonOut bool) {
 	pkgs, err := analysis.Load(".", patterns)
 	if err != nil {
 		log.Fatal(err)
@@ -148,8 +130,8 @@ func runStandalone(patterns []string, enabled []*analysis.Analyzer, enabledProg 
 			report(p.Fset, d)
 		}
 	}
-	// Whole-program pass over everything the patterns matched: this is the
-	// run with full cross-package call-graph coverage.
+	// Whole-program pass over everything the patterns matched, with the
+	// full cross-package call graph.
 	if len(pkgs) > 0 {
 		diags, err := analysis.RunProgram(pkgs, enabledProg)
 		if err != nil {
@@ -176,7 +158,7 @@ func runStandalone(patterns []string, enabled []*analysis.Analyzer, enabledProg 
 }
 
 // triStateFlag registers a string flag that accepts bare -name (implicit
-// true) as well as -name=false, matching how go vet passes analyzer toggles.
+// true) as well as -name=false, the way go vet spells analyzer toggles.
 func triStateFlag(name, usage string) *string {
 	v := new(string)
 	flag.Var(triState{v}, name, usage)
@@ -199,54 +181,4 @@ func (t triState) Set(s string) error {
 		return nil
 	}
 	return fmt.Errorf("invalid boolean value %q", s)
-}
-
-// printFlags emits the registered flags as JSON, the answer to the go
-// command's `vettool -flags` query.
-func printFlags() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
-	flag.VisitAll(func(f *flag.Flag) {
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		flags = append(flags, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-	})
-	data, err := json.MarshalIndent(flags, "", "\t")
-	if err != nil {
-		log.Fatal(err)
-	}
-	os.Stdout.Write(data)
-}
-
-// versionFlag implements the -V=full protocol go vet uses to key its build
-// cache: the output must identify this executable's exact contents, so the
-// cache invalidates when the tool changes.
-type versionFlag struct{}
-
-func (versionFlag) IsBoolFlag() bool { return true }
-func (versionFlag) String() string   { return "" }
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		log.Fatalf("unsupported flag value: -V=%s (use -V=full)", s)
-	}
-	progname, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(progname)
-	if err != nil {
-		log.Fatal(err)
-	}
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n",
-		filepath.Base(progname), string(h.Sum(nil)))
-	os.Exit(0)
-	return nil
 }

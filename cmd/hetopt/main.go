@@ -31,7 +31,6 @@ import (
 	"hetmodel/internal/core"
 	"hetmodel/internal/experiments"
 	"hetmodel/internal/measure"
-	"hetmodel/internal/profiling"
 	"hetmodel/internal/stats"
 	"hetmodel/internal/version"
 )
@@ -51,16 +50,9 @@ func main() {
 		maxprocs  = flag.Int("maxprocs", 0, "cap on the total process count P (0 = no cap)")
 		maxbytes  = flag.Float64("maxbytes", 0, "cap on the per-PE resident set in bytes, M·8N²/P (0 = no cap)")
 	)
-	prof := profiling.AddFlags(nil)
 	version.AddFlag()
 	flag.Parse()
 	version.MaybePrint("hetopt")
-	stopProf, err := prof.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProf()
-
 	ctx, err := experiments.NewPaperContext()
 	if err != nil {
 		log.Fatal(err)

@@ -31,7 +31,6 @@ import (
 	"hetmodel/internal/core"
 	"hetmodel/internal/experiments"
 	"hetmodel/internal/measure"
-	"hetmodel/internal/profiling"
 	"hetmodel/internal/version"
 )
 
@@ -47,16 +46,9 @@ func main() {
 		rebuild  = flag.String("rebuild", "", "rebuild models from the sample bins of this model file instead of running a campaign")
 		batch    = flag.String("batch", "", "with -rebuild: merge this refit batch file ({\"samples\":[...],\"calibration\":[...]}) before rebuilding")
 	)
-	prof := profiling.AddFlags(nil)
 	version.AddFlag()
 	flag.Parse()
 	version.MaybePrint("modelfit")
-	stopProf, err := prof.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProf()
-
 	if *rebuild != "" {
 		if err := runRebuild(*rebuild, *batch, *out); err != nil {
 			log.Fatal(err)

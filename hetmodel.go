@@ -2,17 +2,20 @@
 // Kishimoto & Ichikawa, "An Execution-Time Estimation Model for
 // Heterogeneous Clusters" (IPDPS 2004).
 //
-// It re-exports the library's primary types and provides the convenience
-// pipeline a downstream user needs: build (or describe) a heterogeneous
-// cluster, measure a model-construction campaign on it, fit the paper's
-// N-T/P-T estimation models, and ask for the optimal PE configuration and
-// process allocation for a given problem size.
+// It re-exports the library's primary types and provides the pipeline a
+// downstream user needs: build (or describe) a heterogeneous cluster,
+// measure a model-construction campaign on it, fit the paper's models, and
+// ask for the optimal PE configuration and process allocation for a given
+// problem size.
 //
 //	cl, _ := hetmodel.NewPaperCluster()
 //	models, _ := hetmodel.BuildPaperModels(cl, hetmodel.CampaignNL)
 //	best, tau, _ := models.Optimize(hetmodel.EvalConfigs(), 9600)
 //
-// The full machinery (simulated machines, virtual-time MPI, the HPL
+// BuildPaperModels and BuildModels fit through one pipeline: N-T and P-T
+// models (§3.2, §3.3), composition (§3.5), the adjustment (§4.1) and the
+// memory rule (§3.4), so both recommend the same configuration from the same
+// samples. The machinery (simulated machines, virtual-time MPI, the HPL
 // reproduction, campaign runners and the experiment harness) lives in the
 // internal packages; see DESIGN.md for the map.
 package hetmodel
@@ -171,54 +174,14 @@ func RunCampaign(cl *Cluster, c Campaign, params HPLParams) (*CampaignResult, er
 	return measure.Run(cl, c, params)
 }
 
-// BuildModels fits a complete ModelSet from campaign samples: all N-T and
-// P-T models, composition for classes lacking P-T data (class 0 from class
-// 1 with a fitted Ta factor and the paper's 0.85 Tc factor), and the §4.1
-// adjustment when calibration samples are supplied.
+// BuildModels fits a complete ModelSet from campaign samples with the same
+// pipeline BuildPaperModels uses: all N-T and P-T models, composition for
+// classes lacking P-T data (from the first class that has them, with a
+// fitted Ta factor and the paper's 0.85 Tc factor), the §4.1 adjustment
+// when calibration samples are supplied, and the §3.4 memory rule for cl
+// running HPL with default parameters.
 func BuildModels(cl *Cluster, samples []Sample, calibration []Sample) (*ModelSet, error) {
-	ms, err := core.Build(len(cl.Classes), samples)
-	if err != nil {
-		return nil, err
-	}
-	// Compose any class that lacks P-T models from the first class that
-	// has them.
-	source := -1
-	for _, key := range ms.PTKeys() {
-		source = key.Class
-		break
-	}
-	if source >= 0 {
-		for ci := range cl.Classes {
-			if ci == source {
-				continue
-			}
-			if hasPT(ms, ci) {
-				continue
-			}
-			if _, err := ms.ComposeClassFitted(ci, source, experiments.TcScaleDefault); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(calibration) > 0 {
-		if err := ms.FitAdjustment(calibration); err != nil {
-			return nil, err
-		}
-	}
-	// Persist the training and calibration samples in (class, M) bins so the
-	// model can absorb new measurements incrementally (ModelSet.Refit) and
-	// be rebuilt exactly (RebuildFromBins).
-	ms.Bins = core.NewBinStore(samples, calibration)
-	return ms, nil
-}
-
-func hasPT(ms *ModelSet, class int) bool {
-	for _, key := range ms.PTKeys() {
-		if key.Class == class {
-			return true
-		}
-	}
-	return false
+	return experiments.Fit(cl, HPLParams{}, samples, calibration)
 }
 
 // BuildPaperModels runs the full paper pipeline on a paper-shaped cluster:

@@ -3,6 +3,7 @@ package hetmodel_test
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -151,6 +152,46 @@ func TestBuildModelsEndToEnd(t *testing.T) {
 	}
 	if math.Abs(est-est2) > 1e-9 {
 		t.Fatalf("round-trip estimate differs: %v vs %v", est, est2)
+	}
+	// Samples of a class the cluster does not have are an error.
+	stray := append([]hetmodel.Sample(nil), result.Samples...)
+	for i := range stray {
+		stray[i].Class += 2
+	}
+	if _, err := hetmodel.BuildModels(cl, stray, nil); err == nil {
+		t.Fatal("samples outside the cluster's classes accepted")
+	}
+}
+
+// TestBuildModelsMatchesPipeline refits the NL pipeline's own bins and
+// calibration set through the public BuildModels: both must carry the same
+// §3.4 memory rule and recommend the same configuration at the same τ,
+// including at N = 16000, where the rule excludes configurations that page.
+func TestBuildModelsMatchesPipeline(t *testing.T) {
+	cl, _ := hetmodel.NewPaperCluster()
+	pipeline, err := hetmodel.BuildPaperModels(cl, hetmodel.CampaignNL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	public, err := hetmodel.BuildModels(cl, pipeline.Bins.Flatten(), pipeline.Bins.Calibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{9600, 16000} {
+		want, wantTau, err := pipeline.Optimize(hetmodel.EvalConfigs(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotTau, err := public.Optimize(hetmodel.EvalConfigs(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() || gotTau != wantTau {
+			t.Fatalf("N=%d: BuildModels picks %v (τ %.1f s), pipeline %v (τ %.1f s)", n, got, gotTau, want, wantTau)
+		}
+	}
+	if !reflect.DeepEqual(public.Cluster, pipeline.Cluster) {
+		t.Fatalf("cluster descriptor = %+v, pipeline has %+v", public.Cluster, pipeline.Cluster)
 	}
 }
 

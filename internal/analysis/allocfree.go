@@ -32,7 +32,7 @@ import (
 //
 // Calls whose bodies lie outside the loaded program (standard library,
 // excluding fmt) are not traversed — sync.Pool.Get, math.*, and atomic
-// operations are the intended uses, and DESIGN.md §16 records the caveat.
+// operations are the intended uses, and DESIGN.md §11 records the caveat.
 // Edges into panic-only helpers are cold and skipped. Deliberate exceptions
 // carry //het:allow allocfree -- <reason>.
 var AllocFree = &ProgramAnalyzer{

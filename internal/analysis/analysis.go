@@ -25,8 +25,8 @@
 // The API mirrors golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic
 // — but is built on the standard library only (go/ast, go/types, go/importer),
 // because this repository vendors nothing and builds offline. cmd/hetlint
-// drives the suite either standalone (hetlint ./...) or as a `go vet
-// -vettool` backend speaking the unitchecker *.cfg protocol.
+// drives the suite over the whole module (hetlint ./...), loading it as one
+// program (see Load).
 //
 // Suppressions are explicit and carry a reason:
 //
@@ -83,8 +83,7 @@ type Diagnostic struct {
 }
 
 // Analyzers returns the per-package hetlint suite in stable order. These
-// analyzers need only one type-checked package at a time, so they run under
-// both driver modes (standalone and `go vet -vettool`) with identical results.
+// analyzers need only one type-checked package at a time.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{MapOrder, HotPath, NoDeterm, FloatOrder, AtomicField}
 }
@@ -92,10 +91,8 @@ func Analyzers() []*Analyzer {
 // ProgramAnalyzers returns the whole-program hetlint suite in stable order.
 // These analyzers reason over the call graph spanning every loaded package
 // (hotpath taint propagation, allocation-freedom certification, lock-order
-// cycles), so their coverage grows with the program handed to RunProgram:
-// the standalone driver loads the entire module, while the vet protocol
-// type-checks one package per invocation and therefore sees only
-// intra-package edges. CI runs both.
+// cycles), so their coverage grows with the program handed to RunProgram;
+// cmd/hetlint hands it every package the patterns match.
 func ProgramAnalyzers() []*ProgramAnalyzer {
 	return []*ProgramAnalyzer{HotPathProp, AllocFree, LockOrder}
 }

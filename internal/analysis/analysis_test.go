@@ -75,7 +75,7 @@ func TestFloatOrderFixture(t *testing.T) {
 }
 
 // TestSuiteOverOwnModule runs the full suite over this repository: the tree
-// must be clean. This is the same check `make lint` enforces via go vet, kept
+// must be clean. This is the same check `make lint` enforces via hetlint, kept
 // as a plain test so `go test ./...` (tier 1) already guards the invariants.
 func TestSuiteOverOwnModule(t *testing.T) {
 	if testing.Short() {

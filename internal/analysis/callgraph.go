@@ -22,11 +22,11 @@ import (
 //     concrete (non-interface) receivers. Calls through interfaces, function
 //     values, and method values produce NO edge — the analysis is
 //     deliberately unsound there rather than wildly over-approximate, and
-//     DESIGN.md §16 documents the caveat. The per-package hotpath analyzer
+//     DESIGN.md §11 documents the caveat. The per-package hotpath analyzer
 //     still flags closures on hot paths, which is what makes the dynamic
 //     hole narrow in practice.
 //   - Identity is by canonical string key, not *types.Func pointer: the
-//     standalone loader type-checks each package from source while its
+//     loader type-checks each package from source while its
 //     imports resolve through a separate source-importer pass, so the same
 //     function materializes as distinct objects on the two sides. FullName
 //     (package-path-qualified, receiver included) is stable across both.

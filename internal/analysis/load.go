@@ -27,10 +27,6 @@ type Package struct {
 // every match from source. Imports (standard library and module-local alike)
 // are resolved through the compiler's source importer, so the loader works
 // offline with no dependency on export data or golang.org/x/tools.
-//
-// This is the standalone driver path (hetlint ./...). Under `go vet
-// -vettool` the build system supplies per-unit configs with precompiled
-// export data instead, which cmd/hetlint consumes directly.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	metas, err := goList(dir, patterns)
 	if err != nil {

@@ -259,8 +259,8 @@ type RefitReport struct {
 //
 // The result is bit-identical to RebuildFromBins on the returned set's bins
 // (property-tested), provided the receiver itself satisfies that invariant —
-// true for any model built by BuildModels/BuildModel or loaded from a file
-// they wrote, and preserved by Refit itself.
+// true for any model fitted by experiments.Fit or loaded from a file it
+// wrote, and preserved by Refit itself.
 func (ms *ModelSet) Refit(delta SampleDelta) (*ModelSet, *RefitReport, error) {
 	if ms.Bins == nil {
 		return nil, nil, fmt.Errorf("%w: model set carries no sample bins (refit needs a model written with them)", ErrNoModel)

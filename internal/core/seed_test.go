@@ -70,8 +70,8 @@ func TestSeedThresholdDedupAndUpperBound(t *testing.T) {
 			tauAt[c.Index] = math.Float64bits(c.Score)
 		}
 		for _, k := range []int{1, 2, 4, 8, 16} {
-			scratch := &seedScratch{}
-			shared := parallel.NewSharedThreshold()
+			scratch, shared := &seedScratch{}, &parallel.SharedThreshold{}
+			shared.Reset()
 			seedThreshold(tbl, scratch, k, shared)
 			thr := shared.Load()
 			held := scratch.tk.Sorted()

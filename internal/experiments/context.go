@@ -127,24 +127,15 @@ func (bm *BuiltModel) EvaluatorAt(n int) *core.Evaluator {
 // the paper (§3.5, they use 0.85): single-PE runs cannot anchor it.
 const TcScaleDefault = 0.85
 
-// BuildModel runs the campaign, fits all models, composes the Athlon P-T
-// models from the Pentium-II ones, and calibrates the §4.1 adjustment on
-// the campaign's largest size with the full P-II set and M1 = 1..6 (the
-// paper uses N = 6400, P2 = 8; see core.ModelSet.Adjust for why the sweep
-// starts at M1 = 1 here).
+// BuildModel runs the campaign, measures the §4.1 calibration set on the
+// campaign's largest size with the full P-II set and M1 = 1..6 (the paper
+// uses N = 6400, P2 = 8; see core.ModelSet.Adjust for why the sweep starts
+// at M1 = 1 here), and fits both with Fit.
 func (c *Context) BuildModel(camp measure.Campaign) (*BuiltModel, error) {
 	if camp.Workers == 0 {
 		camp.Workers = c.Workers
 	}
 	res, err := measure.Run(c.Cluster, camp, c.Params)
-	if err != nil {
-		return nil, err
-	}
-	ms, err := core.Build(len(c.Cluster.Classes), res.Samples)
-	if err != nil {
-		return nil, err
-	}
-	taScale, err := ms.ComposeClassFitted(0, 1, TcScaleDefault)
 	if err != nil {
 		return nil, err
 	}
@@ -160,28 +151,68 @@ func (c *Context) BuildModel(camp measure.Campaign) (*BuiltModel, error) {
 	for _, r := range calibRuns {
 		calib = append(calib, measure.SamplesFromResult(r)...)
 	}
+	ms, err := Fit(c.Cluster, c.Params, res.Samples, calib)
+	if err != nil {
+		return nil, err
+	}
+	bm := &BuiltModel{Campaign: camp, Result: res, Models: ms}
+	if len(ms.Compositions) > 0 {
+		bm.TaScale = ms.Compositions[0].TaScale
+	}
+	return bm, nil
+}
+
+// Fit is the model half of the paper's pipeline: it fits every N-T and P-T
+// model from the training samples, composes each class without P-T models
+// from the first class that has them (§3.5, with a fitted Ta factor and
+// TcScaleDefault), fits the §4.1 adjustment from the calibration samples,
+// and attaches the §3.4 memory rule for cl's nodes running HPL with params.
+func Fit(cl *cluster.Cluster, params hpl.Params, samples, calib []core.Sample) (*core.ModelSet, error) {
+	ms, err := core.Build(len(cl.Classes), samples)
+	if err != nil {
+		return nil, err
+	}
+	// Samples of a class the cluster lacks are rejected before composition
+	// indexes by class.
+	if err := ms.Validate(); err != nil {
+		return nil, err
+	}
+	if keys := ms.PTKeys(); len(keys) > 0 {
+		fitted := make([]bool, len(cl.Classes))
+		for _, k := range keys {
+			fitted[k.Class] = true
+		}
+		for ci := range cl.Classes {
+			if fitted[ci] {
+				continue
+			}
+			if _, err := ms.ComposeClassFitted(ci, keys[0].Class, TcScaleDefault); err != nil {
+				return nil, err
+			}
+		}
+	}
 	if err := ms.FitAdjustment(calib); err != nil {
 		return nil, err
 	}
-	// Persist the campaign and calibration samples in (class, M) bins: a
+	// Persist the training and calibration samples in (class, M) bins: a
 	// model file written from this set is incrementally refittable
 	// (core.ModelSet.Refit) and exactly rebuildable (RebuildFromBins).
-	ms.Bins = core.NewBinStore(res.Samples, calib)
+	ms.Bins = core.NewBinStore(samples, calib)
 	// Memory binning (§3.4): exclude configurations whose predetermined
 	// per-node requirement exceeds physical memory — no training data
 	// exists in the paging regime. The models carry the rule as data: each
 	// class's nodes and HPL's per-rank 8·N²/P + 8·NB·N + workspace bytes.
-	params := hpl.FillDefaults(c.Params)
+	params = hpl.FillDefaults(params)
 	ms.Cluster = &cluster.Descriptor{
-		Nodes:     make([][]cluster.NodeSpec, len(c.Cluster.Classes)),
+		Nodes:     make([][]cluster.NodeSpec, len(cl.Classes)),
 		RankBytes: cluster.RankBytes{N2OverP: 8, N: 8 * float64(params.NB), Fixed: params.WorkspaceBytes},
 	}
-	for ci, class := range c.Cluster.Classes {
+	for ci, class := range cl.Classes {
 		for _, node := range class.Nodes {
 			ms.Cluster.Nodes[ci] = append(ms.Cluster.Nodes[ci], cluster.NodeSpec{CPUs: node.CPUs, MemoryBytes: node.MemoryBytes})
 		}
 	}
-	return &BuiltModel{Campaign: camp, Result: res, Models: ms, TaScale: taScale}, nil
+	return ms, nil
 }
 
 // EvalConfigs returns the paper's 62 evaluation configurations.

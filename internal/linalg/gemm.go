@@ -23,17 +23,13 @@ var packPool = sync.Pool{
 //
 // Terms still accumulate into each C element in increasing-p order exactly
 // as the reference kernel does, so the result is bit-identical to
-// KernelReference up to the associativity the two share (element order is
+// refMulAdd up to the associativity the two share (element order is
 // preserved; see TestMulAddMatchesReference).
 func MulAdd(alpha float64, a, b, c *Matrix) error {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		return ErrShape
 	}
 	if alpha == 0 {
-		return nil
-	}
-	if ActiveKernel() == KernelReference {
-		refMulAdd(alpha, a, b, c)
 		return nil
 	}
 	m, k, n := a.Rows, a.Cols, b.Cols

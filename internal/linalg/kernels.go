@@ -1,35 +1,5 @@
 package linalg
 
-import "sync/atomic"
-
-// Kernel selects the implementation backing MulAdd, SolveLowerUnit, and
-// SolveUpper: the cache-blocked, panel-packed production kernels or the
-// naive reference loops kept for equivalence testing.
-type Kernel int32
-
-const (
-	// KernelBlocked is the production implementation: cache-blocked,
-	// panel-packed GEMM and row-sliced, unrolled triangular solves.
-	KernelBlocked Kernel = iota
-	// KernelReference is the clarity-first implementation operating
-	// per-element through At/Set. It exists so property tests can assert
-	// the blocked kernels agree with an independently simple oracle.
-	KernelReference
-)
-
-// activeKernel holds the package-wide kernel selection (atomic so tests can
-// flip it under -race).
-var activeKernel atomic.Int32
-
-// SetKernel selects the kernel implementation for subsequent calls and
-// returns the previous selection. The default is KernelBlocked.
-func SetKernel(k Kernel) Kernel {
-	return Kernel(activeKernel.Swap(int32(k)))
-}
-
-// ActiveKernel returns the current kernel selection.
-func ActiveKernel() Kernel { return Kernel(activeKernel.Load()) }
-
 // axpy computes dst[t] += a*src[t] over len(dst) elements with a 4-way
 // unrolled loop. src must be at least as long as dst. Each element is an
 // independent multiply-then-add, so the result is bit-identical to the
@@ -85,7 +55,3 @@ func dot(a, b []float64) float64 {
 // BLAS daxpy on raw slices, exported for the distributed kernels' panel
 // factorizations which work on row views of their local storage.
 func Axpy(a float64, dst, src []float64) { axpy(a, dst, src) }
-
-// Dot returns the inner product of a and b over min(len(a), len(b))
-// elements, accumulating in index order with a single accumulator.
-func Dot(a, b []float64) float64 { return dot(a, b) }

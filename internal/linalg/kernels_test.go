@@ -5,14 +5,6 @@ import (
 	"testing"
 )
 
-// withKernel runs f under the given kernel selection, restoring the previous
-// selection afterwards.
-func withKernel(k Kernel, f func()) {
-	prev := SetKernel(k)
-	defer SetKernel(prev)
-	f()
-}
-
 // kernelShapes covers the blocking edge cases: empty, single element,
 // sub-block, exact multiples of gemmBlock, one-off-a-multiple, and long
 // skinny panels like the HPL trailing updates.
@@ -37,11 +29,7 @@ func TestMulAddMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := c0.Clone()
-		withKernel(KernelReference, func() {
-			if err := MulAdd(1.5, a, b, want); err != nil {
-				t.Fatal(err)
-			}
-		})
+		refMulAdd(1.5, a, b, want)
 		// The blocked kernel preserves the reference's per-element
 		// accumulation order, so agreement is exact, not approximate.
 		if !equalExact(got, want) {
@@ -62,11 +50,7 @@ func TestMulAddMatchesReferenceOnStridedViews(t *testing.T) {
 		b := bp.Slice(1, 1+k, 4, 4+n)
 		c := cp.Slice(1, 1+m, 2, 2+n)
 		want := c.Clone()
-		withKernel(KernelReference, func() {
-			if err := MulAdd(-0.75, a, b, want); err != nil {
-				t.Fatal(err)
-			}
-		})
+		refMulAdd(-0.75, a, b, want)
 		if err := MulAdd(-0.75, a, b, c); err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +75,7 @@ func TestTriangularSolvesMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantL := rhs.Clone()
-		withKernel(KernelReference, func() {
-			if err := SolveLowerUnit(tri, wantL); err != nil {
-				t.Fatal(err)
-			}
-		})
+		refSolveLowerUnit(tri, wantL)
 		if !equalExact(gotL, wantL) {
 			t.Fatalf("SolveLowerUnit mismatch for n=%d m=%d", n, m)
 		}
@@ -105,11 +85,9 @@ func TestTriangularSolvesMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantU := rhs.Clone()
-		withKernel(KernelReference, func() {
-			if err := SolveUpper(tri, wantU); err != nil {
-				t.Fatal(err)
-			}
-		})
+		if !refSolveUpper(tri, wantU) {
+			t.Fatalf("reference SolveUpper rejected n=%d", n)
+		}
 		if !equalExact(gotU, wantU) {
 			t.Fatalf("SolveUpper mismatch for n=%d m=%d", n, m)
 		}
@@ -125,25 +103,9 @@ func TestSolveUpperZeroDiagonalBothKernels(t *testing.T) {
 	if err := SolveUpper(u, b.Clone()); err == nil {
 		t.Fatal("blocked kernel accepted zero diagonal")
 	}
-	withKernel(KernelReference, func() {
-		if err := SolveUpper(u, b.Clone()); err == nil {
-			t.Fatal("reference kernel accepted zero diagonal")
-		}
-	})
-}
-
-func TestSetKernelRoundTrip(t *testing.T) {
-	if got := ActiveKernel(); got != KernelBlocked {
-		t.Fatalf("default kernel = %v, want KernelBlocked", got)
+	if refSolveUpper(u, b.Clone()) {
+		t.Fatal("reference kernel accepted zero diagonal")
 	}
-	prev := SetKernel(KernelReference)
-	if prev != KernelBlocked {
-		t.Fatalf("SetKernel returned %v, want KernelBlocked", prev)
-	}
-	if got := ActiveKernel(); got != KernelReference {
-		t.Fatalf("ActiveKernel = %v after SetKernel(KernelReference)", got)
-	}
-	SetKernel(prev)
 }
 
 func TestMulAddSteadyStateAllocs(t *testing.T) {
@@ -182,8 +144,8 @@ func TestAxpyDotAgreeWithRolledLoops(t *testing.T) {
 			want[i] += alpha * src[i]
 			wantDot += dst[i] * src[i]
 		}
-		if got := Dot(dst, src); got != wantDot {
-			t.Fatalf("n=%d: Dot = %v, want %v", n, got, wantDot)
+		if got := dot(dst, src); got != wantDot {
+			t.Fatalf("n=%d: dot = %v, want %v", n, got, wantDot)
 		}
 		Axpy(alpha, dst, src)
 		for i := range dst {

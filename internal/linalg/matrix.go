@@ -118,17 +118,6 @@ func (m *Matrix) Slice(r0, r1, c0, c1 int) *Matrix {
 	}
 }
 
-// CopyFrom copies src into m; shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) error {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		return fmt.Errorf("%w: copy %dx%d into %dx%d", ErrShape, src.Rows, src.Cols, m.Rows, m.Cols)
-	}
-	for i := 0; i < m.Rows; i++ {
-		copy(m.RowView(i), src.RowView(i))
-	}
-	return nil
-}
-
 // SwapRows exchanges rows i and j in place.
 func (m *Matrix) SwapRows(i, j int) {
 	if i == j {
@@ -137,16 +126,6 @@ func (m *Matrix) SwapRows(i, j int) {
 	ri, rj := m.RowView(i), m.RowView(j)
 	for k := range ri {
 		ri[k], rj[k] = rj[k], ri[k]
-	}
-}
-
-// Scale multiplies every element by s.
-func (m *Matrix) Scale(s float64) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.RowView(i)
-		for k := range row {
-			row[k] *= s
-		}
 	}
 }
 

@@ -2,24 +2,6 @@ package linalg
 
 import "math"
 
-// Norm1 returns the maximum absolute column sum of a (the matrix 1-norm).
-func Norm1(a *Matrix) float64 {
-	sums := make([]float64, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		row := a.RowView(i)
-		for j, v := range row {
-			sums[j] += math.Abs(v)
-		}
-	}
-	var mx float64
-	for _, s := range sums {
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
-}
-
 // NormInf returns the maximum absolute row sum of a (the matrix inf-norm).
 func NormInf(a *Matrix) float64 {
 	var mx float64
@@ -35,17 +17,6 @@ func NormInf(a *Matrix) float64 {
 	return mx
 }
 
-// NormFrob returns the Frobenius norm of a.
-func NormFrob(a *Matrix) float64 {
-	var s float64
-	for i := 0; i < a.Rows; i++ {
-		for _, v := range a.RowView(i) {
-			s += v * v
-		}
-	}
-	return math.Sqrt(s)
-}
-
 // VecNormInf returns max_i |x_i|.
 func VecNormInf(x []float64) float64 {
 	var mx float64
@@ -55,24 +26,6 @@ func VecNormInf(x []float64) float64 {
 		}
 	}
 	return mx
-}
-
-// VecNorm2 returns the Euclidean norm of x.
-func VecNorm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// VecNorm1 returns sum_i |x_i|.
-func VecNorm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
 }
 
 // HPLResidual computes the scaled residual HPL reports for a solve A*x = b:

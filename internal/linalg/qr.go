@@ -108,21 +108,3 @@ func (f *QR) SolveLS(b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// ResidualNorm returns ||A*x - b||_2 given the original A is not retained:
-// it uses the stored factors, computing || (Q^T b)[cols:] ||_2 which equals
-// the least-squares residual norm for the optimal x.
-func (f *QR) ResidualNorm(b []float64) (float64, error) {
-	rows, cols := f.QR.Rows, f.QR.Cols
-	if len(b) != rows {
-		return 0, ErrShape
-	}
-	qtb := make([]float64, rows)
-	copy(qtb, b)
-	f.applyQT(qtb)
-	var s float64
-	for i := cols; i < rows; i++ {
-		s += qtb[i] * qtb[i]
-	}
-	return math.Sqrt(s), nil
-}

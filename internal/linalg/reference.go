@@ -1,10 +1,9 @@
 package linalg
 
-// This file holds the naive reference kernels selected by
-// SetKernel(KernelReference): straightforward per-element loops through
-// At/Set, written for obviousness rather than speed. They are the oracle
-// the property tests compare the blocked kernels against and double as
-// executable documentation of what the fast paths compute.
+// This file holds the naive reference kernels: straightforward per-element
+// loops through At/Set, written for obviousness rather than speed. They are
+// the oracle the property tests compare the blocked kernels against and
+// double as executable documentation of what the fast paths compute.
 
 // refMulAdd computes C += alpha*A*B one element at a time (ijp order).
 func refMulAdd(alpha float64, a, b, c *Matrix) {

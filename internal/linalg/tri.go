@@ -9,10 +9,6 @@ func SolveLowerUnit(l, b *Matrix) error {
 	if l.Rows != l.Cols || l.Rows != b.Rows {
 		return fmt.Errorf("%w: trsm lower %dx%d with rhs %dx%d", ErrShape, l.Rows, l.Cols, b.Rows, b.Cols)
 	}
-	if ActiveKernel() == KernelReference {
-		refSolveLowerUnit(l, b)
-		return nil
-	}
 	n := l.Rows
 	for i := 1; i < n; i++ {
 		li := l.RowView(i)
@@ -33,12 +29,6 @@ func SolveLowerUnit(l, b *Matrix) error {
 func SolveUpper(u, b *Matrix) error {
 	if u.Rows != u.Cols || u.Rows != b.Rows {
 		return fmt.Errorf("%w: trsm upper %dx%d with rhs %dx%d", ErrShape, u.Rows, u.Cols, b.Rows, b.Cols)
-	}
-	if ActiveKernel() == KernelReference {
-		if !refSolveUpper(u, b) {
-			return fmt.Errorf("%w: zero diagonal", ErrSingular)
-		}
-		return nil
 	}
 	n := u.Rows
 	for i := n - 1; i >= 0; i-- {

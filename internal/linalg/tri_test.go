@@ -140,23 +140,11 @@ func TestNorms(t *testing.T) {
 		{1, -2},
 		{-3, 4},
 	})
-	if got := Norm1(a); got != 6 {
-		t.Fatalf("Norm1 = %v, want 6", got)
-	}
 	if got := NormInf(a); got != 7 {
 		t.Fatalf("NormInf = %v, want 7", got)
 	}
-	if got := NormFrob(a); math.Abs(got-math.Sqrt(30)) > 1e-14 {
-		t.Fatalf("NormFrob = %v", got)
-	}
 	if got := VecNormInf([]float64{1, -5, 2}); got != 5 {
 		t.Fatalf("VecNormInf = %v", got)
-	}
-	if got := VecNorm1([]float64{1, -5, 2}); got != 8 {
-		t.Fatalf("VecNorm1 = %v", got)
-	}
-	if got := VecNorm2([]float64{3, 4}); math.Abs(got-5) > 1e-14 {
-		t.Fatalf("VecNorm2 = %v", got)
 	}
 }
 

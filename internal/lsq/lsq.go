@@ -49,18 +49,6 @@ func (f *Fit) StdErr(j int) float64 {
 	return math.Sqrt(v)
 }
 
-// Predict evaluates the fitted model on a design row x.
-func (f *Fit) Predict(x []float64) (float64, error) {
-	if len(x) != len(f.Coeff) {
-		return 0, fmt.Errorf("%w: row has %d terms, fit has %d", ErrBadInput, len(x), len(f.Coeff))
-	}
-	var s float64
-	for i, v := range x {
-		s += v * f.Coeff[i]
-	}
-	return s, nil
-}
-
 // MultifitLinear fits y ≈ X·c by unweighted linear least squares, mirroring
 // gsl_multifit_linear. X is the design matrix (one row per observation, one
 // column per coefficient); len(y) must equal X.Rows, and X.Rows >= X.Cols.
@@ -118,40 +106,6 @@ func covariance(x *linalg.Matrix, chisq float64, dof int) *linalg.Matrix {
 	return cov
 }
 
-// MultifitWeighted fits y ≈ X·c minimizing sum w_i (y_i - X_i·c)², mirroring
-// gsl_multifit_wlinear. All weights must be nonnegative.
-func MultifitWeighted(x *linalg.Matrix, w, y []float64) (*Fit, error) {
-	if len(y) != x.Rows || len(w) != x.Rows {
-		return nil, fmt.Errorf("%w: %d obs, %d weights, %d rows", ErrBadInput, len(y), len(w), x.Rows)
-	}
-	xs := x.Clone()
-	ys := make([]float64, len(y))
-	for i := 0; i < xs.Rows; i++ {
-		if w[i] < 0 {
-			return nil, fmt.Errorf("%w: negative weight at %d", ErrBadInput, i)
-		}
-		s := math.Sqrt(w[i])
-		row := xs.RowView(i)
-		for j := range row {
-			row[j] *= s
-		}
-		ys[i] = y[i] * s
-	}
-	if xs.Rows < xs.Cols {
-		return nil, fmt.Errorf("%w: %d observations for %d parameters", ErrBadInput, xs.Rows, xs.Cols)
-	}
-	qr, err := linalg.FactorizeQR(xs)
-	if err != nil {
-		return nil, err
-	}
-	c, err := qr.SolveLS(ys)
-	if err != nil {
-		return nil, err
-	}
-	// Report chi-squared and R² in the weighted metric.
-	return summarizeWeighted(x, w, y, c), nil
-}
-
 // MultifitNormalEquations solves the same problem via the normal equations
 // X^T X c = X^T y. It is faster for tall-skinny systems but numerically less
 // robust; retained for the DESIGN.md ablation.
@@ -178,22 +132,14 @@ func MultifitNormalEquations(x *linalg.Matrix, y []float64) (*Fit, error) {
 	return summarize(x, y, c), nil
 }
 
+// summarize reports the residual sum of squares and R² of coefficients c.
 func summarize(x *linalg.Matrix, y, c []float64) *Fit {
-	w := make([]float64, len(y))
-	for i := range w {
-		w[i] = 1
+	var chisq, mean float64
+	for _, v := range y {
+		mean += v
 	}
-	return summarizeWeighted(x, w, y, c)
-}
-
-func summarizeWeighted(x *linalg.Matrix, w, y, c []float64) *Fit {
-	var chisq, wsum, wmean float64
-	for i := range y {
-		wsum += w[i]
-		wmean += w[i] * y[i]
-	}
-	if wsum > 0 {
-		wmean /= wsum
+	if len(y) > 0 {
+		mean /= float64(len(y))
 	}
 	var tss float64
 	for i := range y {
@@ -203,9 +149,9 @@ func summarizeWeighted(x *linalg.Matrix, w, y, c []float64) *Fit {
 			pred += v * c[j]
 		}
 		d := y[i] - pred
-		chisq += w[i] * d * d
-		dm := y[i] - wmean
-		tss += w[i] * dm * dm
+		chisq += d * d
+		dm := y[i] - mean
+		tss += dm * dm
 	}
 	r2 := 0.0
 	switch {

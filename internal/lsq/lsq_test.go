@@ -68,45 +68,6 @@ func TestMultifitDimensionMismatch(t *testing.T) {
 	}
 }
 
-func TestPredict(t *testing.T) {
-	fit := &Fit{Coeff: []float64{2, 1}}
-	y, err := fit.Predict([]float64{3, 1})
-	if err != nil || y != 7 {
-		t.Fatalf("predict = %v, %v", y, err)
-	}
-	if _, err := fit.Predict([]float64{1}); err == nil {
-		t.Fatal("expected length error")
-	}
-}
-
-func TestWeightedFitIgnoresZeroWeightOutlier(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 1000} // last point is garbage
-	w := []float64{1, 1, 1, 0}
-	design := PolynomialDesign(xs, []int{1, 0})
-	fit, err := MultifitWeighted(design, w, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Coeff[0]-2) > 1e-9 || math.Abs(fit.Coeff[1]-1) > 1e-9 {
-		t.Fatalf("weighted coeff = %v", fit.Coeff)
-	}
-}
-
-func TestWeightedNegativeWeight(t *testing.T) {
-	design := PolynomialDesign([]float64{1, 2, 3}, []int{1, 0})
-	if _, err := MultifitWeighted(design, []float64{1, -1, 1}, []float64{1, 2, 3}); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("want ErrBadInput, got %v", err)
-	}
-}
-
-func TestWeightedDimensionMismatch(t *testing.T) {
-	design := PolynomialDesign([]float64{1, 2, 3}, []int{1, 0})
-	if _, err := MultifitWeighted(design, []float64{1, 1}, []float64{1, 2, 3}); !errors.Is(err, ErrBadInput) {
-		t.Fatal("want ErrBadInput")
-	}
-}
-
 func TestNormalEquationsAgreeWithQR(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	x := linalg.NewMatrix(20, 4)

@@ -194,15 +194,8 @@ func MergeTopK(k int, lists [][]Candidate) []Candidate {
 // plain incumbent bound. Publishing +Inf (a worker holding fewer than k
 // candidates) never lowers the bound, and per-worker thresholds are monotone
 // non-increasing, so the bound only tightens. The zero value holds 0, not
-// +Inf: start from NewSharedThreshold or call Reset first.
+// +Inf: call Reset first.
 type SharedThreshold struct{ bits atomic.Uint64 }
-
-// NewSharedThreshold returns a shared top-K threshold initialized to +Inf.
-func NewSharedThreshold() *SharedThreshold {
-	t := &SharedThreshold{}
-	t.Reset()
-	return t
-}
 
 // Load returns the current bound.
 func (t *SharedThreshold) Load() float64 { return math.Float64frombits(t.bits.Load()) }

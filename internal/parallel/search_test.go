@@ -169,9 +169,10 @@ func (b *atomicBitmap) firstUnset(n int64) int64 {
 }
 
 func TestSharedThreshold(t *testing.T) {
-	th := NewSharedThreshold()
+	th := &SharedThreshold{}
+	th.Reset()
 	if !math.IsInf(th.Load(), 1) {
-		t.Fatal("fresh SharedThreshold must be +Inf (no bound)")
+		t.Fatal("a reset SharedThreshold must be +Inf (no bound)")
 	}
 	th.Update(math.Inf(1)) // unfilled selectors publish +Inf: no-op
 	if !math.IsInf(th.Load(), 1) {
@@ -194,7 +195,8 @@ func TestSharedThreshold(t *testing.T) {
 }
 
 func TestSharedThresholdConcurrentTightensMonotonically(t *testing.T) {
-	th := NewSharedThreshold()
+	th := &SharedThreshold{}
+	th.Reset()
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func(g int) {

@@ -224,18 +224,6 @@ func ReadTraceFile(path string) (*Trace, error) {
 	return ParseTrace(data)
 }
 
-// WriteTraceFile writes the trace in canonical form.
-func (t *Trace) WriteTraceFile(path string) error {
-	b, err := t.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return fmt.Errorf("workload: %w", err)
-	}
-	return nil
-}
-
 // ReadSpecFile loads and validates a generator spec file.
 func ReadSpecFile(path string) (Spec, error) {
 	var spec Spec
