@@ -6,9 +6,8 @@ import (
 )
 
 // phaseCosts holds what one run's virtual-time charges depend on and
-// evaluates them. Both drivers — the vmpi body and the phantom engine —
-// charge through these methods, so every phase cost and message size has
-// exactly one definition and the two cannot drift apart.
+// evaluates them: every phase cost and message size of the HPL program
+// (engine.go) has its one definition here.
 type phaseCosts struct {
 	n, nb     int
 	lookahead bool
@@ -22,31 +21,36 @@ type phaseCosts struct {
 	offsets []float64
 }
 
-// newPhaseCosts derives the static compute multipliers of a placed run:
-// multiprocessing share and memory pressure (the resident set is constant
-// across the run) times the seeded run-to-run noise.
 func newPhaseCosts(pl *cluster.Placement, cfg cluster.Configuration, params Params, lay Layout) *phaseCosts {
+	c := &phaseCosts{n: params.N, nb: params.NB, lookahead: params.Lookahead, lay: lay, ranks: pl.Ranks}
+	c.mulBusy, c.mulSolo, c.offsets = RankMultipliers(pl, params, cfg.Key(), func(rank int) float64 {
+		return 8 * float64(params.N) * float64(lay.LocalCols(rank))
+	})
+	return c
+}
+
+// RankMultipliers derives the static compute multipliers of each rank of a
+// placed run: multiprocessing share and memory pressure (the resident set is
+// constant across the run) times the seeded run-to-run noise of the run
+// keyed cfgKey. busy applies to phases where all co-resident processes
+// compute (update, laswp), solo to phases where one computes while its
+// siblings yield (pfact, uptrsv); offsets is each rank's absolute jitter in
+// seconds, charged to the update phase. matrixBytes is a rank's share of the
+// matrix; a panel and params.WorkspaceBytes are added to it.
+func RankMultipliers(pl *cluster.Placement, params Params, cfgKey string, matrixBytes func(rank int) float64) (busy, solo, offsets []float64) {
 	P := pl.P()
 	nodeBytes := pl.NodeResidentBytes(func(rank int) float64 {
-		return 8*float64(params.N)*float64(lay.LocalCols(rank)) +
-			8*float64(params.N)*float64(params.NB) +
-			params.WorkspaceBytes
+		return matrixBytes(rank) + 8*float64(params.N)*float64(params.NB) + params.WorkspaceBytes
 	})
-	c := &phaseCosts{
-		n: params.N, nb: params.NB, lookahead: params.Lookahead,
-		lay: lay, ranks: pl.Ranks,
-		mulBusy: make([]float64, P), mulSolo: make([]float64, P), offsets: make([]float64, P),
-	}
-	cfgKey := cfg.Key()
-	for r := 0; r < P; r++ {
-		rp := pl.Ranks[r]
+	busy, solo, offsets = make([]float64, P), make([]float64, P), make([]float64, P)
+	for r, rp := range pl.Ranks {
 		pressure := rp.Type.PressureFactor(nodeBytes[rp.NodeID], rp.Node.MemoryBytes)
 		jitter, offset := RunNoise(params.Seed, params.N, cfgKey, r, params.Noise, params.NoiseAbs)
-		c.mulBusy[r] = rp.Type.MultiprocFactor(rp.Resident) * pressure * jitter
-		c.mulSolo[r] = rp.Type.SoloFactor(rp.Resident) * pressure * jitter
-		c.offsets[r] = offset
+		busy[r] = rp.Type.MultiprocFactor(rp.Resident) * pressure * jitter
+		solo[r] = rp.Type.SoloFactor(rp.Resident) * pressure * jitter
+		offsets[r] = offset
 	}
-	return c
+	return busy, solo, offsets
 }
 
 // panelRows returns the row count of panel j (the trailing matrix height).

@@ -7,13 +7,12 @@ import (
 	"hetmodel/internal/vmpi"
 )
 
-// The phantom engine evaluates a run's virtual clocks on the caller's
-// goroutine. A phantom run moves no data and each rank's control flow depends
-// only on (rank, panel), so each rank is a resumable state machine rather
-// than a vmpi coroutine, sparing a coroutine switch per blocked message.
-// vmpi.Schedule runs one rank until it blocks on a message, then the rank it
-// waits for, exactly as it runs the world's coroutines, and vmpi's broadcast
-// tree places every rank in every broadcast.
+// The engine evaluates a run's virtual clocks on the caller's goroutine.
+// Each rank's control flow depends only on (rank, panel), so each rank is a
+// resumable state machine rather than a coroutine, sparing a coroutine
+// switch per blocked message. vmpi.Schedule runs one rank until it blocks on
+// a message, then the rank it waits for, and vmpi's broadcast tree places
+// every rank in every broadcast.
 //
 // Message semantics are vmpi's: an eager send pays the transfer time and
 // posts the availability time; a rendezvous send posts a request carrying
@@ -21,8 +20,11 @@ import (
 // stamps completion max(sender, receiver) + dt and acknowledges it; receives
 // match the first queued message with their (source, tag). A rank's clock
 // depends only on its own program and on the messages it matches, never on
-// the interleaving, so performing the float operations in the same order as
-// the vmpi body (run.go) makes the clocks identical to the bit.
+// the interleaving.
+//
+// Envelopes carry timing only. A numeric run keeps its panels beside the
+// program, by panel index (numericSide), and a traced run records to the
+// vmpi.Tracer where vmpi's Proc would.
 
 // Envelope kinds, as in vmpi's protocol matching.
 const (
@@ -31,7 +33,7 @@ const (
 	kindAck
 )
 
-// envelope is one queued message. A phantom run carries no payload.
+// envelope is one queued message. It carries no payload.
 type envelope struct {
 	src, tag int
 	kind     uint8
@@ -70,11 +72,13 @@ type engineRank struct {
 	bc        bcastState
 }
 
-// engine is the single-threaded virtual-time message layer under a phantom
-// run: per-rank clocks and inboxes.
+// engine is the single-threaded virtual-time message layer under a run:
+// per-rank clocks and inboxes.
 type engine struct {
 	pl    *cluster.Placement
 	ranks []engineRank
+	// tr records every compute span and message; nil on untraced runs.
+	tr *vmpi.Tracer
 	// ops counts envelopes posted and taken: the scheduler's measure of
 	// whether a step changed anything another rank could observe.
 	ops int
@@ -98,10 +102,30 @@ func newEngine(pl *cluster.Placement) *engine {
 // advance adds dt virtual seconds of local work to the rank's clock.
 // Non-positive or NaN dt is ignored, as vmpi.Proc.Advance does.
 func (e *engine) advance(rank int, dt float64) {
-	if dt <= 0 || math.IsNaN(dt) {
+	if !(dt > 0) { // also false for NaN
 		return
 	}
+	if e.tr != nil {
+		e.traceCompute(rank, dt)
+	}
 	e.ranks[rank].clock += dt
+}
+
+// traceCompute records a compute span of dt starting at rank's clock. It
+// stays out of advance so that advance inlines into the program.
+//
+//go:noinline
+func (e *engine) traceCompute(rank int, dt float64) {
+	e.tr.Record(vmpi.TraceEvent{Rank: rank, Name: "compute", Start: e.ranks[rank].clock, Dur: dt, Peer: -1})
+}
+
+// traceMsg records a send or receive of rank that began at start and ends
+// at its clock. It stays out of send and recv to keep their untraced path
+// short.
+//
+//go:noinline
+func (e *engine) traceMsg(name string, rank, peer, tag int, start, bytes float64) {
+	e.tr.Record(vmpi.TraceEvent{Rank: rank, Name: name, Start: start, Dur: e.ranks[rank].clock - start, Peer: peer, Tag: tag, Bytes: bytes})
 }
 
 // post queues m at dst.
@@ -146,32 +170,37 @@ func (e *engine) send(rank, dst, tag int, bytes float64) (float64, bool) {
 		if dt < 0 || math.IsNaN(dt) {
 			dt = 0
 		}
-		if !e.pl.Rendezvous(bytes, rank, dst) {
+		if e.pl.Rendezvous(bytes, rank, dst) {
+			e.post(dst, envelope{src: rank, tag: tag, kind: kindRTS, availAt: r.clock, dt: dt})
+			r.rtsPosted = true
+		} else {
 			r.clock += dt
 			e.post(dst, envelope{src: rank, tag: tag, kind: kindEager, availAt: r.clock})
-			return r.clock - start, true
 		}
-		e.post(dst, envelope{src: rank, tag: tag, kind: kindRTS, availAt: r.clock, dt: dt})
-		r.rtsPosted = true
 	}
-	ack, ok := e.take(rank, dst, tag, kindAck)
-	if !ok {
-		r.waitOn = dst
-		return 0, false
+	if r.rtsPosted {
+		ack, ok := e.take(rank, dst, tag, kindAck)
+		if !ok {
+			r.waitOn = dst
+			return 0, false
+		}
+		r.rtsPosted = false
+		if ack.availAt > r.clock {
+			r.clock = ack.availAt
+		}
 	}
-	r.rtsPosted = false
-	if ack.availAt > r.clock {
-		r.clock = ack.availAt
+	if e.tr != nil {
+		e.traceMsg("send", rank, dst, tag, start, bytes)
 	}
 	return r.clock - start, true
 }
 
-// recv matches a message from src and returns the virtual seconds the rank
-// waited for it. It reports false when none is queued yet.
+// recv matches a message of the given size from src and returns the virtual
+// seconds the rank waited for it. It reports false when none is queued yet.
 //
 //het:hotpath
 //het:allocfree
-func (e *engine) recv(rank, src, tag int) (float64, bool) {
+func (e *engine) recv(rank, src, tag int, bytes float64) (float64, bool) {
 	m, ok := e.take(rank, src, tag, kindEager|kindRTS)
 	r := &e.ranks[rank]
 	if !ok {
@@ -189,6 +218,9 @@ func (e *engine) recv(rank, src, tag int) (float64, bool) {
 		e.post(src, envelope{src: rank, tag: tag, kind: kindAck, availAt: r.clock})
 	} else if m.availAt > r.clock {
 		r.clock = m.availAt
+	}
+	if e.tr != nil {
+		e.traceMsg("recv", rank, src, tag, start, bytes)
 	}
 	return r.clock - start, true
 }
@@ -211,7 +243,7 @@ func (e *engine) bcastStep(rank int) bool {
 	size := len(e.ranks)
 	bc := &e.ranks[rank].bc
 	if bc.parent >= 0 {
-		wait, ok := e.recv(rank, bc.parent, bc.tag)
+		wait, ok := e.recv(rank, bc.parent, bc.tag, bc.bytes)
 		if !ok {
 			return false
 		}
@@ -249,9 +281,21 @@ type hplRank struct {
 	ahead int
 }
 
-// hplProgram is the control skeleton of runWorld's rank body — panel loop,
-// lookahead branch, substitution chain — as a state machine over the engine.
-// It charges the same phaseCosts in the same order.
+// numericSide is the real arithmetic of a numeric run, done at the
+// program's compute points: factor panel j on its owner, apply its row
+// interchanges, update the rank's blocks of panels [from, to) with it, and
+// finish with it. It is an interface so that the allocation-free walk of
+// step stays on the phantom path.
+type numericSide interface {
+	factor(rank, j int)
+	swap(rank, j int)
+	update(rank, j, from, to int)
+	done(j int)
+}
+
+// hplProgram is HPL's rank body — panel loop, lookahead branch,
+// substitution chain — as a state machine over the engine. Every phase is
+// charged through phaseCosts.
 type hplProgram struct {
 	e     *engine
 	c     *phaseCosts
@@ -259,6 +303,8 @@ type hplProgram struct {
 	ranks []hplRank
 	// timing is the result's per-rank table, filled in place.
 	timing []RankTiming
+	// num does the arithmetic of a numeric run; nil on phantom runs.
+	num numericSide
 }
 
 func newHPLProgram(pl *cluster.Placement, c *phaseCosts, alg vmpi.BcastAlg, timing []RankTiming) *hplProgram {
@@ -267,14 +313,6 @@ func newHPLProgram(pl *cluster.Placement, c *phaseCosts, alg vmpi.BcastAlg, timi
 		h.ranks[r].ahead = -1
 	}
 	return h
-}
-
-// runEngine evaluates a phantom run on the caller's goroutine, filling
-// res.PerRank. A program whose ranks wait on each other comes back as an
-// error wrapping vmpi.ErrDeadlock.
-func runEngine(pl *cluster.Placement, c *phaseCosts, alg vmpi.BcastAlg, res *Result) error {
-	h := newHPLProgram(pl, c, alg, res.PerRank)
-	return vmpi.Schedule(pl.P(), &h.e.ops, h.step)
 }
 
 // step runs rank until it finishes (-1) or blocks on a message, returning
@@ -321,9 +359,8 @@ func (h *hplProgram) step(rank int) int {
 			t.Bcast += e.ranks[rank].bc.elapsed
 			r.ahead = r.j + 1
 			// The rest of the trailing update, behind the panel sent ahead.
-			h.update(rank, r.j, lay.TrailingLocalCols(rank, r.j)-lay.Width(r.ahead))
-			r.j++
-			r.pc = pcPanel
+			h.update(rank, r.j, lay.TrailingLocalCols(rank, r.j)-lay.Width(r.ahead), r.ahead+1, lay.NumPanels())
+			h.finish(r)
 		case pcChainRecv:
 			j := r.j
 			if j < 0 {
@@ -337,7 +374,7 @@ func (h *hplProgram) step(rank int) int {
 				return -1
 			}
 			if j < lay.NumPanels()-1 && lay.Owner(j+1) != rank {
-				wait, ok := e.recv(rank, lay.Owner(j+1), c.chainTag(j+1))
+				wait, ok := e.recv(rank, lay.Owner(j+1), c.chainTag(j+1), c.chainBytes())
 				if !ok {
 					return e.ranks[rank].waitOn
 				}
@@ -367,16 +404,32 @@ func (h *hplProgram) factor(rank, j int) {
 	dt := h.c.pfact(rank, j)
 	h.e.advance(rank, dt)
 	h.timing[rank].Pfact += dt
+	if h.num != nil {
+		h.num.factor(rank, j) //het:allow allocfree hotpathprop -- numeric runs only; nil on phantom runs
+	}
 }
 
-// update charges the trailing update of cols columns by panel j.
-func (h *hplProgram) update(rank, j, cols int) {
+// update charges the trailing update by panel j of cols columns: the rank's
+// blocks of panels from `from` to (not including) `to`.
+func (h *hplProgram) update(rank, j, cols, from, to int) {
 	if cols <= 0 {
 		return
 	}
 	dt := h.c.update(rank, j, cols)
 	h.e.advance(rank, dt)
 	h.timing[rank].Update += dt
+	if h.num != nil {
+		h.num.update(rank, j, from, to) //het:allow allocfree hotpathprop -- numeric runs only; nil on phantom runs
+	}
+}
+
+// finish ends a rank's work on its current panel and moves to the next.
+func (h *hplProgram) finish(r *hplRank) {
+	if h.num != nil {
+		h.num.done(r.j) //het:allow allocfree hotpathprop -- numeric runs only; nil on phantom runs
+	}
+	r.j++
+	r.pc = pcPanel
 }
 
 // trailing runs what follows panel j's broadcast: the row interchanges and
@@ -389,19 +442,21 @@ func (h *hplProgram) trailing(rank int) {
 		dt := c.laswp(rank, j, cols)
 		h.e.advance(rank, dt)
 		h.timing[rank].Laswp += dt
+		if h.num != nil {
+			h.num.swap(rank, j) //het:allow allocfree hotpathprop -- numeric runs only; nil on phantom runs
+		}
 	}
 	ct := lay.TrailingLocalCols(rank, j)
 	if c.lookaheadSplit(rank, j, ct) {
 		// Update and factor the next panel first and start its broadcast
 		// (the owner's share only; receivers pick it up at their own pace).
 		next := j + 1
-		h.update(rank, j, lay.Width(next))
+		h.update(rank, j, lay.Width(next), next, next+1)
 		h.factor(rank, next)
 		h.e.startBcast(rank, rank, next, c.panelBytes(next), h.alg)
 		r.pc = pcEarly
 		return
 	}
-	h.update(rank, j, ct)
-	r.j++
-	r.pc = pcPanel
+	h.update(rank, j, ct, j+1, lay.NumPanels())
+	h.finish(r)
 }

@@ -160,18 +160,22 @@ func allVariants() []variant {
 	return out
 }
 
-// sweepDigest is foldBits over the engine's side of every pair of the full
-// TestEngineMatchesWorld sweep (4 896 paper pairs, then 72 three-class
-// pairs), recorded while the engine and the vmpi world shared no code. The
-// two drivers now share vmpi's scheduler and broadcast tree, so a fault
-// there would move both sides alike; the digest pins the clocks themselves.
+// sweepDigest is foldBits over every run of the full TestEngineMatchesWorld
+// sweep (4 896 paper runs, then 72 three-class runs), recorded while a
+// second HPL implementation on the vmpi world, sharing no code with the
+// engine, agreed with it to the bit on each one.
 const sweepDigest = 0x1cd7a56f6ce27f87
+
+// shortDigest is the same fold over the -short subset (1 632 paper runs,
+// then the 72 three-class runs), recorded against that implementation too.
+const shortDigest = 0x7dd6d9112e0d6422
 
 // TestEngineMatchesWorld is the engine's contract: on every input the paper
 // pipeline feeds it, and on the shapes that stress its control flow, the
-// engine's Result equals the vmpi world's to the bit. Each (configuration,
-// variant, library) runs at sizesPerCase of the campaign and evaluation
-// sizes, rotating through the list so that every size meets every variant.
+// engine's Results fold to the digest the vmpi-world implementation's did.
+// Each (configuration, variant, library) runs at sizesPerCase of the
+// campaign and evaluation sizes, rotating through the list so that every
+// size meets every variant.
 func TestEngineMatchesWorld(t *testing.T) {
 	sizes := []int{400, 600, 800, 1200, 1600, 2400, 3200, 4800, 6400, 8000, 9600}
 	sizesPerCase := 3
@@ -179,20 +183,15 @@ func TestEngineMatchesWorld(t *testing.T) {
 		sizes, sizesPerCase = sizes[:7], 1
 	}
 	digest := fnv.New64a()
-	pairs := 0
-	pair := func(label string, cl *cluster.Cluster, c cluster.Configuration, p Params) {
+	runs := 0
+	run := func(label string, cl *cluster.Cluster, c cluster.Configuration, p Params) {
 		t.Helper()
-		want, err := run(cl, c, p, false)
+		res, err := Run(cl, c, p)
 		if err != nil {
-			t.Fatalf("%s: world: %v", label, err)
+			t.Fatalf("%s: %v", label, err)
 		}
-		got, err := run(cl, c, p, true)
-		if err != nil {
-			t.Fatalf("%s: engine: %v", label, err)
-		}
-		sameBits(t, label, got, want)
-		foldBits(digest, got)
-		pairs++
+		foldBits(digest, res)
+		runs++
 	}
 
 	cfgs := sweepConfigs(t)
@@ -210,7 +209,7 @@ func TestEngineMatchesWorld(t *testing.T) {
 				for i := 0; i < sizesPerCase; i++ {
 					n := sizes[next%len(sizes)]
 					next++
-					pair(lib.Name+" "+c.String(), cl, c, v.params(n))
+					run(lib.Name+" "+c.String(), cl, c, v.params(n))
 				}
 			}
 		}
@@ -226,21 +225,22 @@ func TestEngineMatchesWorld(t *testing.T) {
 	} {
 		for _, v := range allVariants() {
 			for _, n := range []int{1000, 331, 70} { // 16, 6 and 2 panels of 64
-				pair("three-class "+c.String(), three, c, v.params(n))
+				run("three-class "+c.String(), three, c, v.params(n))
 			}
 		}
 	}
+	wantRuns, want := 4968, uint64(sweepDigest)
 	if testing.Short() {
-		return
+		wantRuns, want = 1704, shortDigest
 	}
-	if pairs != 4968 || digest.Sum64() != sweepDigest {
-		t.Fatalf("%d pairs fold to %#016x, want 4968 pairs folding to %#016x", pairs, digest.Sum64(), uint64(sweepDigest))
+	if runs != wantRuns || digest.Sum64() != want {
+		t.Fatalf("%d runs fold to %#016x, want %d runs folding to %#016x", runs, digest.Sum64(), wantRuns, want)
 	}
 }
 
-// TestNumericMatchesPhantom: the numeric run (vmpi world, real panels) and
-// the phantom run (engine) of one configuration and seed report the same
-// timings to the bit — data movement never feeds back into the clocks.
+// TestNumericMatchesPhantom: the numeric run (real panels) and the phantom
+// run of one configuration and seed report the same timings to the bit —
+// the arithmetic never feeds back into the clocks.
 func TestNumericMatchesPhantom(t *testing.T) {
 	cl := paperCluster(t)
 	for _, c := range []cluster.Configuration{cfg(1, 1, 0, 0), cfg(1, 2, 3, 1), cfg(0, 0, 5, 1), cfg(1, 1, 8, 1)} {
@@ -286,7 +286,7 @@ func TestEngineReportsDeadlock(t *testing.T) {
 			if rank != 0 {
 				return true
 			}
-			_, ok := e.recv(0, 2, 99)
+			_, ok := e.recv(0, 2, 99, 8)
 			return ok
 		})
 		if !errors.Is(err, vmpi.ErrDeadlock) {
@@ -295,7 +295,7 @@ func TestEngineReportsDeadlock(t *testing.T) {
 	})
 	t.Run("receive cycle", func(t *testing.T) {
 		err := run(func(e *engine, rank int) bool {
-			_, ok := e.recv(rank, (rank+1)%pl.P(), 7)
+			_, ok := e.recv(rank, (rank+1)%pl.P(), 7, 8)
 			return ok
 		})
 		if !errors.Is(err, vmpi.ErrDeadlock) {

@@ -7,8 +7,63 @@ import (
 	"hetmodel/internal/linalg"
 )
 
-// matrixPayload aliases the dense matrix type used in broadcast payloads.
-type matrixPayload = linalg.Matrix
+// numRun is the arithmetic of a numeric run (numericSide): every rank's
+// share of the matrix, and each panel's payload kept by panel index. The
+// owner sets panels[j] when it factors panel j, before that panel's
+// broadcast starts; the ranks run one at a time, so every receiver reads it
+// after its share of the broadcast completes.
+type numRun struct {
+	states []*numState
+	panels []*factoredPanel
+}
+
+func newNumRun(lay Layout, seed int64) *numRun {
+	n := &numRun{states: make([]*numState, lay.P()), panels: make([]*factoredPanel, lay.NumPanels())}
+	bufs := new(panelBufs)
+	for r := range n.states {
+		n.states[r] = newNumState(lay, r, seed, bufs)
+	}
+	return n
+}
+
+func (n *numRun) factor(rank, j int) { n.panels[j] = n.states[rank].factorPanel(j) }
+
+func (n *numRun) swap(rank, j int) { n.states[rank].applySwaps(j, n.panels[j].Pivots) }
+
+func (n *numRun) update(rank, j, from, to int) { n.states[rank].update(j, n.panels[j], from, to) }
+
+func (n *numRun) done(j int) { n.panels[j].release() }
+
+// factoredPanel is what the ranks read of a factored panel: its columns and
+// its pivot rows.
+type factoredPanel struct {
+	// L holds the factored panel (m×nb): U in rows [0,nb), multipliers
+	// below.
+	L *linalg.Matrix
+	// Pivots are the global pivot rows chosen for each panel column.
+	Pivots []int
+
+	// refs counts the ranks still reading L; the last release returns the
+	// backing buffer to the run's free list so the next panel reuses it
+	// instead of allocating. Panel sizes shrink monotonically, so recycled
+	// buffers always fit.
+	refs int
+	bufs *panelBufs
+	buf  []float64
+}
+
+// panelBufs is a numeric run's free list of panel matrix buffers. The ranks
+// run one at a time, so it needs no lock.
+type panelBufs struct{ free [][]float64 }
+
+// release signals that this rank is done with the panel's matrix; each
+// rank calls it once per panel. The pivots outlive the matrix.
+func (pm *factoredPanel) release() {
+	if pm.refs--; pm.refs == 0 {
+		pm.bufs.free = append(pm.bufs.free, pm.buf)
+		pm.L, pm.buf = nil, nil
+	}
+}
 
 // numState is the per-rank numeric storage for a real factorization run:
 // the rank's block-cyclic share of the matrix, all N rows of each owned
@@ -16,23 +71,17 @@ type matrixPayload = linalg.Matrix
 type numState struct {
 	lay   Layout
 	rank  int
-	seed  int64
 	local *linalg.Matrix
-	// bufs, when set, is the run-shared free list panel payload buffers are
-	// drawn from (and returned to by panelMsg.release).
+	// bufs is the run-shared free list panel payload buffers are drawn
+	// from (and returned to by factoredPanel.release).
 	bufs *panelBufs
 }
 
-// newPanelMsg returns a panel payload whose m×nb matrix is drawn from the
-// run's free list when one is installed. The caller overwrites every
-// element, so stale recycled contents never leak.
-func (st *numState) newPanelMsg(m, nb int) *panelMsg {
-	pm := &panelMsg{}
-	if st.bufs == nil {
-		pm.L = linalg.NewMatrix(m, nb)
-		return pm
-	}
-	pm.bufs, pm.refs = st.bufs, st.lay.P()
+// newFactoredPanel returns a panel payload whose m×nb matrix is drawn from the
+// run's free list. The caller overwrites every element, so stale recycled
+// contents never leak.
+func (st *numState) newFactoredPanel(m, nb int) *factoredPanel {
+	pm := &factoredPanel{bufs: st.bufs, refs: st.lay.P()}
 	if free := st.bufs.free; len(free) > 0 && cap(free[len(free)-1]) >= m*nb {
 		pm.buf = free[len(free)-1][:m*nb]
 		st.bufs.free = free[:len(free)-1]
@@ -43,9 +92,9 @@ func (st *numState) newPanelMsg(m, nb int) *panelMsg {
 	return pm
 }
 
-func newNumState(lay Layout, rank int, seed int64) *numState {
+func newNumState(lay Layout, rank int, seed int64, bufs *panelBufs) *numState {
 	cols := lay.LocalCols(rank)
-	st := &numState{lay: lay, rank: rank, seed: seed, local: linalg.NewMatrix(lay.N(), cols)}
+	st := &numState{lay: lay, rank: rank, local: linalg.NewMatrix(lay.N(), cols), bufs: bufs}
 	// Generate owned columns deterministically (HPL's pdmatgen role).
 	n := lay.N()
 	data, stride := st.local.Data, st.local.Stride
@@ -63,10 +112,10 @@ func newNumState(lay Layout, rank int, seed int64) *numState {
 }
 
 // factorPanel performs the unblocked partial-pivoting factorization of the
-// rank's panel j (which it must own) and returns the broadcast payload: the
+// rank's panel j (which it must own) and returns what the ranks read: the
 // factored m×nb panel and the global pivot rows. Row swaps are applied to
 // the panel columns only; other columns are swapped in the laswp phase.
-func (st *numState) factorPanel(j int) *panelMsg {
+func (st *numState) factorPanel(j int) *factoredPanel {
 	lay := st.lay
 	nb := lay.Width(j)
 	off := lay.LocalOffset(j)
@@ -122,7 +171,7 @@ func (st *numState) factorPanel(j int) *panelMsg {
 	}
 
 	// Copy the factored panel (rows row0.., panel columns) for broadcast.
-	pm := st.newPanelMsg(m, nb)
+	pm := st.newFactoredPanel(m, nb)
 	pm.Pivots = pivots
 	for i := 0; i < m; i++ {
 		copy(pm.L.RowView(i), panelRow(row0+i))
@@ -156,14 +205,10 @@ func (st *numState) applySwaps(j int, pivots []int) {
 	}
 }
 
-// update applies panel j's factors to every trailing block of the rank.
-func (st *numState) update(j int, pm *panelMsg) {
-	st.updateFiltered(j, pm, func(int) bool { return true })
-}
-
-// updateFiltered applies panel j's factors (U12 ← L11⁻¹·A12 then
-// A22 ← A22 − L2·U12) to the rank's trailing blocks selected by keep.
-func (st *numState) updateFiltered(j int, pm *panelMsg, keep func(jj int) bool) {
+// update applies panel j's factors (U12 ← L11⁻¹·A12 then
+// A22 ← A22 − L2·U12) to the rank's blocks of panels [from, to), all right
+// of panel j.
+func (st *numState) update(j int, pm *factoredPanel, from, to int) {
 	lay := st.lay
 	nb := lay.Width(j)
 	row0 := j * lay.NB()
@@ -174,8 +219,8 @@ func (st *numState) updateFiltered(j int, pm *panelMsg, keep func(jj int) bool) 
 	if m > nb {
 		l2 = pm.L.Slice(nb, m, 0, nb)
 	}
-	for jj := st.rank; jj < lay.NumPanels(); jj += lay.P() {
-		if jj <= j || !keep(jj) {
+	for jj := st.rank; jj < to; jj += lay.P() {
+		if jj < from {
 			continue
 		}
 		off := lay.LocalOffset(jj)
@@ -195,11 +240,11 @@ func (st *numState) updateFiltered(j int, pm *panelMsg, keep func(jj int) bool) 
 
 // validate reassembles the distributed packed LU, solves against the
 // generated right-hand side, and records the solution and HPL residual in
-// the result. It runs on the host after the virtual world drains.
-func (r *Result) validate(lay Layout, states []*numState, pivots [][]int) error {
+// the result. It runs after every rank has finished.
+func (r *Result) validate(lay Layout, num *numRun) error {
 	n := lay.N()
 	full := linalg.NewMatrix(n, n)
-	for rank, st := range states {
+	for rank, st := range num.states {
 		data, stride := st.local.Data, st.local.Stride
 		for j := rank; j < lay.NumPanels(); j += lay.P() {
 			off := lay.LocalOffset(j)
@@ -217,7 +262,7 @@ func (r *Result) validate(lay Layout, states []*numState, pivots [][]int) error 
 	pb := append([]float64(nil), b...)
 	for j := 0; j < lay.NumPanels(); j++ {
 		row0 := j * lay.NB()
-		for k, piv := range pivots[j] {
+		for k, piv := range num.panels[j].Pivots {
 			gr := row0 + k
 			if piv != gr {
 				pb[gr], pb[piv] = pb[piv], pb[gr]

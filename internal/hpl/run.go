@@ -76,54 +76,13 @@ func (l Layout) TrailingLocalCols(r, j int) int {
 	return cols
 }
 
-// panelMsg is the broadcast payload: the factored panel and its pivot rows.
-// In phantom mode both fields are nil — only the modelled byte size travels.
-type panelMsg struct {
-	// L holds the factored panel (m×nb): U in rows [0,nb), multipliers
-	// below.
-	L *matrixPayload
-	// Pivots are the global pivot rows chosen for each panel column.
-	Pivots []int
-
-	// refs counts the ranks still reading L; the last release returns the
-	// backing buffer to the run's free list so the next panel reuses it
-	// instead of allocating. Panel sizes shrink monotonically, so recycled
-	// buffers always fit. nil bufs (phantom mode) makes release a no-op.
-	refs int
-	bufs *panelBufs
-	buf  []float64
-}
-
-// panelBufs is a numeric run's free list of panel matrix buffers. The ranks
-// run one at a time (vmpi coroutines), so it needs no lock.
-type panelBufs struct{ free [][]float64 }
-
-// release signals that this rank is done with the panel's matrix; each
-// rank calls it once per panel.
-func (pm *panelMsg) release() {
-	if pm == nil || pm.bufs == nil {
-		return
-	}
-	if pm.refs--; pm.refs == 0 {
-		pm.bufs.free = append(pm.bufs.free, pm.buf)
-		pm.bufs = nil
-	}
-}
-
 // Run executes HPL for the configuration on the cluster and returns the
 // detailed result. It is safe for concurrent use across distinct runs.
 //
-// A phantom, untraced run — every measurement campaign — is evaluated by the
-// engine's rank state machines (engine.go); numeric and traced runs execute
-// the straight-line rank body on the vmpi world. Both run on the caller's
-// goroutine under vmpi.Schedule and produce bit-identical timings.
+// Every run is the engine's program (engine.go) under vmpi.Schedule, on the
+// caller's goroutine. A numeric run adds the arithmetic and the residual
+// check, a traced run the timeline; neither changes the timings.
 func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result, error) {
-	return run(cl, cfg, params, !params.Numeric && params.Tracer == nil)
-}
-
-// run is Run with the driver chosen by the caller, so tests can hold the
-// engine against the vmpi world on the same input.
-func run(cl *cluster.Cluster, cfg cluster.Configuration, params Params, useEngine bool) (*Result, error) {
 	params = params.withDefaults()
 	if err := params.validate(); err != nil {
 		return nil, err
@@ -137,182 +96,22 @@ func run(cl *cluster.Cluster, cfg cluster.Configuration, params Params, useEngin
 	if params.N < P {
 		return nil, fmt.Errorf("%w: N=%d smaller than P=%d", ErrBadParams, params.N, P)
 	}
-	costs := newPhaseCosts(pl, cfg, params, lay)
 	res := NewResultShell(params, cfg.Normalize(), P)
-	if useEngine {
-		err = runEngine(pl, costs, params.Bcast, res)
-	} else {
-		err = runWorld(pl, costs, params, res)
+	h := newHPLProgram(pl, newPhaseCosts(pl, cfg, params, lay), params.Bcast, res.PerRank)
+	h.e.tr = params.Tracer
+	var num *numRun
+	if params.Numeric {
+		num = newNumRun(lay, params.Seed)
+		h.num = num
 	}
-	if err != nil {
+	if err := vmpi.Schedule(P, &h.e.ops, h.step); err != nil {
 		return nil, err
+	}
+	if num != nil {
+		if err := res.validate(lay, num); err != nil {
+			return nil, err
+		}
 	}
 	res.finalize(pl, len(cl.Classes), FlopCount(params.N))
 	return res, nil
-}
-
-// runWorld executes the run on the vmpi world, one coroutine per rank: the
-// driver that moves real panels (numeric mode) and feeds the tracer, and the
-// oracle the engine is tested against.
-func runWorld(pl *cluster.Placement, c *phaseCosts, params Params, res *Result) error {
-	P, lay := pl.P(), c.lay
-
-	// Numeric state per rank plus the pivot record (owner-written,
-	// disjoint indices, read only after the world drains).
-	var states []*numState
-	pivots := make([][]int, lay.NumPanels())
-	if params.Numeric {
-		states = make([]*numState, P)
-		bufs := new(panelBufs)
-		for r := 0; r < P; r++ {
-			states[r] = newNumState(lay, r, params.Seed)
-			states[r].bufs = bufs
-		}
-	}
-
-	world, err := vmpi.NewWorld(P, pl.TransferTime)
-	if err != nil {
-		return err
-	}
-	world.SetRendezvous(pl.Rendezvous)
-	world.SetTracer(params.Tracer)
-	barrierTag := 2*lay.NumPanels() + 16
-
-	_, err = world.Run(func(p *vmpi.Proc) {
-		rank := p.Rank()
-		var st *numState
-		if states != nil {
-			st = states[rank]
-		}
-		var t RankTiming
-		// Depth-1 lookahead state: a panel factored ahead of schedule and
-		// whose broadcast this rank (as owner) already initiated.
-		var pending *panelMsg
-		pendingJ, earlySent := -1, -1
-		// factor charges panel j's factorization and produces its payload.
-		factor := func(j int) *panelMsg {
-			dt := c.pfact(rank, j)
-			p.Advance(dt)
-			t.Pfact += dt
-			if st == nil {
-				return &panelMsg{}
-			}
-			payload := st.factorPanel(j)
-			pivots[j] = payload.Pivots
-			return payload
-		}
-		// charge books the trailing update of cols columns by panel j.
-		charge := func(j, cols int) {
-			if cols <= 0 {
-				return
-			}
-			dt := c.update(rank, j, cols)
-			p.Advance(dt)
-			t.Update += dt
-		}
-
-		for j := 0; j < lay.NumPanels(); j++ {
-			o := lay.Owner(j)
-
-			var payload *panelMsg
-			if rank == o {
-				if pendingJ == j {
-					// Factored ahead during the previous iteration.
-					payload = pending
-					pending, pendingJ = nil, -1
-				} else {
-					payload = factor(j)
-				}
-			}
-
-			var pm *panelMsg
-			if rank == o && earlySent == j {
-				// The owner's share of this broadcast already went out.
-				pm = payload
-				earlySent = -1
-			} else {
-				data, elapsed := p.Bcast(o, j, payload, c.panelBytes(j), params.Bcast)
-				t.addBcast(elapsed, c.panelRows(j))
-				pm, _ = data.(*panelMsg)
-			}
-
-			// Row interchanges on every local column outside the panel.
-			if cOther := c.laswpCols(rank, j); cOther > 0 {
-				dt := c.laswp(rank, j, cOther)
-				p.Advance(dt)
-				t.Laswp += dt
-				if st != nil && pm != nil {
-					st.applySwaps(j, pm.Pivots)
-				}
-			}
-
-			// Trailing update: dtrsm on the U12 strip plus dgemm. With
-			// lookahead, the owner of the next panel updates and factors
-			// it first, starts its broadcast, and only then finishes the
-			// rest of the trailing update.
-			ct := lay.TrailingLocalCols(rank, j)
-			if c.lookaheadSplit(rank, j, ct) {
-				nextJ := j + 1
-				wNext := lay.Width(nextJ)
-				charge(j, wNext)
-				if st != nil && pm != nil {
-					st.updateFiltered(j, pm, func(jj int) bool { return jj == nextJ })
-				}
-				pending, pendingJ = factor(nextJ), nextJ
-				// Initiate the next panel's broadcast early (the owner's
-				// share only; receivers pick it up at their own pace).
-				_, e := p.Bcast(rank, nextJ, pending, c.panelBytes(nextJ), params.Bcast)
-				t.Bcast += e
-				earlySent = nextJ
-				charge(j, ct-wNext)
-				if st != nil && pm != nil {
-					st.updateFiltered(j, pm, func(jj int) bool { return jj != nextJ })
-				}
-			} else {
-				charge(j, ct)
-				if ct > 0 && st != nil && pm != nil {
-					st.update(j, pm)
-				}
-			}
-
-			// This rank is done reading the panel; the last releaser hands
-			// the matrix buffer back for the next panel.
-			pm.release()
-		}
-
-		// Backward substitution: a right-to-left chain over panel owners
-		// carrying the running right-hand side (N doubles per hop).
-		for j := lay.NumPanels() - 1; j >= 0; j-- {
-			if lay.Owner(j) != rank {
-				continue
-			}
-			if j < lay.NumPanels()-1 && lay.Owner(j+1) != rank {
-				_, wait := p.Recv(lay.Owner(j+1), c.chainTag(j+1))
-				t.Uptrsv += wait
-			}
-			dt := c.uptrsv(rank, j)
-			p.Advance(dt)
-			t.Uptrsv += dt
-			if j > 0 && lay.Owner(j-1) != rank {
-				t.Uptrsv += p.Send(lay.Owner(j-1), c.chainTag(j), nil, c.chainBytes())
-			}
-		}
-
-		// Absolute measurement jitter lands in the dominant (update)
-		// phase.
-		if off := c.offsets[rank]; off > 0 {
-			p.Advance(off)
-			t.Update += off
-		}
-		t.Wall = p.Clock()
-		res.PerRank[rank] = t
-		p.Barrier(barrierTag) // drain the world; not timed
-	})
-	if err != nil {
-		return err
-	}
-	if params.Numeric {
-		return res.validate(lay, states, pivots)
-	}
-	return nil
 }

@@ -5,22 +5,19 @@
 // per-phase timers the paper's models are built from (HPL's
 // -DHPL_DETAILED_TIMING plus the bcast timer the authors added).
 //
-// Two execution modes:
+// One program (engine.go) runs every rank: each rank's control flow depends
+// only on (rank, panel), so it is a state machine under vmpi's scheduler,
+// charging every phase through one set of cost functions (costs.go). Two
+// optional additions ride on it without changing a single timing:
 //
 //   - Numeric: ranks hold real float64 panels, factorize them, and the
-//     solution is residual-checked (validates the algorithm). Ranks run as
-//     coroutines on the internal/vmpi runtime, which moves the panels.
-//   - Phantom: only the flop/byte-accurate virtual clocks advance (makes the
-//     paper's 486-run measurement campaigns cheap). Nothing moves and each
-//     rank's control flow depends only on (rank, panel), so the engine
-//     (engine.go) runs each rank as a state machine under vmpi's scheduler,
-//     without a coroutine switch per message; a traced phantom run stays on
-//     vmpi, which feeds the tracer.
+//     solution is residual-checked (validates the algorithm). Without it a
+//     run is phantom: only the flop/byte-accurate virtual clocks advance,
+//     which makes the paper's 486-run measurement campaigns cheap.
+//   - Tracer: every compute span and message is recorded on a timeline.
 //
-// Both drivers charge every phase through one set of cost functions
-// (costs.go) in the same order, so their timings are bit-identical. Virtual
-// time comes from internal/machine (kernel times, multiprocessing and
-// memory-pressure factors) and internal/simnet (transfer times).
+// Virtual time comes from internal/machine (kernel times, multiprocessing
+// and memory-pressure factors) and internal/simnet (transfer times).
 package hpl
 
 import (

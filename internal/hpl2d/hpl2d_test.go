@@ -85,6 +85,43 @@ func TestRunValidatesGrid(t *testing.T) {
 	if _, err := Run(cl, cfg(0, 0, 4, 1), Params{Params: hpl.Params{N: 0}, Pr: 2, Pc: 2}); !errors.Is(err, hpl.ErrBadParams) {
 		t.Fatal("N=0 accepted")
 	}
+	// The 2D program has no lookahead branch; asking for one must not
+	// come back as a run that silently did without it.
+	if res, err := Run(cl, cfg(0, 0, 4, 1), Params{Params: hpl.Params{N: 512, Lookahead: true}, Pr: 2, Pc: 2}); !errors.Is(err, hpl.ErrBadParams) {
+		t.Fatalf("lookahead accepted: result %v, err %v", res, err)
+	}
+}
+
+// The absolute measurement jitter lands in each rank's update phase at the
+// end of its run, as in the 1D run: every other phase is unchanged, and
+// the update grows by the rank's offset, below 2·NoiseAbs.
+func TestAbsoluteJitterInUpdate(t *testing.T) {
+	cl := paperCluster(t)
+	run := func(noiseAbs float64) *Result {
+		res, err := Run(cl, cfg(1, 2, 6, 1), Params{Params: hpl.Params{N: 1600, Noise: -1, NoiseAbs: noiseAbs}, Pr: 2, Pc: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	quiet, noisy := run(-1), run(0)
+	jittered := 0
+	for r, q := range quiet.PerRank {
+		n := noisy.PerRank[r]
+		if n.Pfact != q.Pfact || n.Mxswp != q.Mxswp || n.Bcast != q.Bcast || n.Laswp != q.Laswp || n.Uptrsv != q.Uptrsv {
+			t.Fatalf("rank %d: jitter moved a phase other than update: %+v vs %+v", r, n, q)
+		}
+		off := n.Update - q.Update
+		if off < 0 || off >= 2*hpl.DefaultNoiseAbs || n.Wall < q.Wall {
+			t.Fatalf("rank %d: update %v → %v, wall %v → %v", r, q.Update, n.Update, q.Wall, n.Wall)
+		}
+		if off > 0 {
+			jittered++
+		}
+	}
+	if jittered == 0 {
+		t.Fatal("no rank carries an absolute jitter offset")
+	}
 }
 
 // The central correctness check: a 2D-grid factorization of the same

@@ -40,6 +40,9 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 	if err := hpl.ValidateParams(params.Params); err != nil {
 		return nil, err
 	}
+	if params.Lookahead {
+		return nil, fmt.Errorf("%w: lookahead is implemented on the 1D grid only", hpl.ErrBadParams)
+	}
 	pl, err := cl.Place(cfg)
 	if err != nil {
 		return nil, err
@@ -53,22 +56,11 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 		return nil, fmt.Errorf("%w: %v", hpl.ErrBadParams, err)
 	}
 
-	nodeBytes := pl.NodeResidentBytes(func(rank int) float64 {
-		row, col := g.Coords(rank)
-		return 8*float64(g.LocalRows(row))*float64(g.LocalCols(col)) +
-			8*float64(params.N)*float64(params.NB) +
-			params.WorkspaceBytes
-	})
-	mulBusy := make([]float64, P)
-	mulSolo := make([]float64, P)
 	cfgKey := fmt.Sprintf("2d%dx%d:%s", params.Pr, params.Pc, cfg.Key())
-	for r := 0; r < P; r++ {
-		rp := pl.Ranks[r]
-		pressure := rp.Type.PressureFactor(nodeBytes[rp.NodeID], rp.Node.MemoryBytes)
-		jitter, _ := hpl.RunNoise(params.Seed, params.N, cfgKey, r, params.Noise, params.NoiseAbs)
-		mulBusy[r] = rp.Type.MultiprocFactor(rp.Resident) * pressure * jitter
-		mulSolo[r] = rp.Type.SoloFactor(rp.Resident) * pressure * jitter
-	}
+	mulBusy, mulSolo, offsets := hpl.RankMultipliers(pl, params.Params, cfgKey, func(rank int) float64 {
+		row, col := g.Coords(rank)
+		return 8 * float64(g.LocalRows(row)) * float64(g.LocalCols(col))
+	})
 
 	var states []*numState
 	if params.Numeric {
@@ -200,12 +192,10 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 						t.Pfact += dt
 					}
 				}
-				rows := g.RowsBelow(myRow, col0)
 				myPanel = &panelMsg{Pivots: pivots}
 				if st != nil {
 					myPanel.L = st.extractPanel(col0, nb)
 				}
-				_ = rows
 				if myRow == 0 {
 					pivotRecord[J] = pivots
 				}
@@ -332,9 +322,14 @@ func Run(cl *cluster.Cluster, cfg cluster.Configuration, params Params) (*Result
 			}
 		}
 
+		// Absolute measurement jitter lands in the dominant (update)
+		// phase, as in the 1D run.
+		if off := offsets[rank]; off > 0 {
+			p.Advance(off)
+			t.Update += off
+		}
 		t.Wall = p.Clock()
 		res.PerRank[rank] = t
-		p.Barrier(chainBase + g.Panels() + 8)
 	})
 	if err != nil {
 		return nil, err

@@ -58,51 +58,3 @@ func (a BcastAlg) Tree(v, n int) (parent, first int) {
 	}
 	return parent, first
 }
-
-// Bcast broadcasts data of the given modelled size from root to all ranks.
-// Every rank must call it with the same root, tag, and algorithm. On the
-// root, data is the payload; elsewhere the returned message's Data is the
-// received payload. The returned elapsed is the virtual time this rank spent
-// in the broadcast (send cost on forwarding ranks, wait+receive elsewhere).
-func (p *Proc) Bcast(root, tag int, data any, bytes float64, alg BcastAlg) (any, float64) {
-	size := p.world.size
-	if root < 0 || root >= size {
-		panic(fmt.Sprintf("vmpi: bcast with invalid root %d", root))
-	}
-	if alg != BcastRing && alg != BcastBinomial {
-		panic(fmt.Sprintf("vmpi: unknown broadcast algorithm %d", alg))
-	}
-	v := (p.rank - root + size) % size
-	parent, first := alg.Tree(v, size)
-	var elapsed float64
-	if parent >= 0 {
-		msg, wait := p.Recv((parent+root)%size, tag)
-		data, elapsed = msg.Data, wait
-	}
-	for m := first; m > 0; m >>= 1 {
-		elapsed += p.Send((v+m+root)%size, tag, data, bytes)
-	}
-	return data, elapsed
-}
-
-// Barrier synchronizes all ranks: a gather to rank 0 followed by a
-// zero-byte broadcast. All ranks must call it with the same tag. It returns
-// the virtual time spent waiting.
-func (p *Proc) Barrier(tag int) float64 {
-	size := p.world.size
-	if size == 1 {
-		return 0
-	}
-	var elapsed float64
-	if p.rank == 0 {
-		// Gather: wait for everyone.
-		for r := 1; r < size; r++ {
-			_, w := p.Recv(r, tag)
-			elapsed += w
-		}
-	} else {
-		elapsed += p.Send(0, tag, nil, 0)
-	}
-	_, e := p.Bcast(0, tag+1, nil, 0, BcastBinomial)
-	return elapsed + e
-}

@@ -14,6 +14,24 @@ func TestBcastAlgString(t *testing.T) {
 	}
 }
 
+// bcast walks alg's tree from root with Send and Recv, as the HPL engine and
+// hpl2d's comm.bcast do, and returns the payload and the rank's time inside
+// the broadcast.
+func bcast(p *Proc, alg BcastAlg, root, tag int, data any, bytes float64) (any, float64) {
+	n := p.Size()
+	v := (p.Rank() - root + n) % n
+	parent, first := alg.Tree(v, n)
+	var elapsed float64
+	if parent >= 0 {
+		msg, wait := p.Recv((parent+root)%n, tag)
+		data, elapsed = msg.Data, wait
+	}
+	for m := first; m > 0; m >>= 1 {
+		elapsed += p.Send((v+m+root)%n, tag, data, bytes)
+	}
+	return data, elapsed
+}
+
 func testBcastDelivery(t *testing.T, alg BcastAlg, size, root int) {
 	t.Helper()
 	w, _ := NewWorld(size, constTransfer(1, 1e6))
@@ -23,7 +41,7 @@ func testBcastDelivery(t *testing.T, alg BcastAlg, size, root int) {
 		if p.Rank() == root {
 			in = payload
 		}
-		out, elapsed := p.Bcast(root, 5, in, 4096, alg)
+		out, elapsed := bcast(p, alg, root, 5, in, 4096)
 		if out.(string) != payload {
 			t.Errorf("rank %d got %v", p.Rank(), out)
 		}
@@ -49,18 +67,6 @@ func TestBcastBinomialDelivery(t *testing.T) {
 	}
 }
 
-func TestBcastInvalidRootPanics(t *testing.T) {
-	w, _ := NewWorld(2, constTransfer(0, 1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	mustRun(t, w, func(p *Proc) {
-		p.Bcast(7, 0, nil, 0, BcastRing)
-	})
-}
-
 func TestBcastRingCriticalPathGrowsWithP(t *testing.T) {
 	// Ring broadcast's last receiver waits ~(P-1) transfers — the
 	// (P−1)·O(N²) behaviour the paper's model assumes.
@@ -71,7 +77,7 @@ func TestBcastRingCriticalPathGrowsWithP(t *testing.T) {
 			if p.Rank() == 0 {
 				in = 1
 			}
-			p.Bcast(0, 0, in, 1e5, BcastRing)
+			bcast(p, BcastRing, 0, 0, in, 1e5)
 		})
 		max := 0.0
 		for _, c := range clocks {
@@ -95,7 +101,7 @@ func TestBcastBinomialFasterThanRingForLargeP(t *testing.T) {
 			if p.Rank() == 0 {
 				in = 1
 			}
-			p.Bcast(0, 0, in, 1e5, alg)
+			bcast(p, alg, 0, 0, in, 1e5)
 		})
 		max := 0.0
 		for _, c := range clocks {
@@ -111,29 +117,12 @@ func TestBcastBinomialFasterThanRingForLargeP(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronizesClocks(t *testing.T) {
-	w, _ := NewWorld(4, constTransfer(0.01, 1e9))
-	clocks := mustRun(t, w, func(p *Proc) {
-		p.Advance(float64(p.Rank() * 10)) // ranks wildly out of sync
-		p.Barrier(100)
-	})
-	// After a barrier all clocks must be >= the max pre-barrier clock.
-	for r, c := range clocks {
-		if c < 30 {
-			t.Fatalf("rank %d clock %v below slowest rank's 30", r, c)
-		}
-	}
-}
-
 func TestBcastSingleRank(t *testing.T) {
 	w, _ := NewWorld(1, constTransfer(0, 1))
 	mustRun(t, w, func(p *Proc) {
-		out, elapsed := p.Bcast(0, 0, "x", 100, BcastRing)
+		out, elapsed := bcast(p, BcastRing, 0, 0, "x", 100)
 		if out.(string) != "x" || elapsed != 0 {
 			t.Errorf("single-rank bcast: %v %v", out, elapsed)
-		}
-		if p.Barrier(1) != 0 {
-			t.Error("single-rank barrier should be free")
 		}
 	})
 }

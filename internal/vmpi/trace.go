@@ -20,11 +20,11 @@ type TraceEvent struct {
 }
 
 // Tracer collects per-rank timelines of a run. Install with
-// World.SetTracer before Run. A single Tracer may be shared by concurrent
-// Runs (e.g. a parallel measurement campaign): recording stays race-free
-// behind the mutex, though events of different runs interleave in the
-// buffer — Events() sorts by (rank, start), so same-rank events from
-// different runs will mix.
+// World.SetTracer before Run, or as hpl.Params.Tracer. A single Tracer may
+// be shared by concurrent runs (e.g. a parallel measurement campaign):
+// recording stays race-free behind the mutex, though events of different
+// runs interleave in the buffer — Events() sorts by (rank, start), so
+// same-rank events from different runs will mix.
 type Tracer struct {
 	mu     sync.Mutex
 	events []TraceEvent
@@ -33,7 +33,8 @@ type Tracer struct {
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
-func (t *Tracer) record(ev TraceEvent) {
+// Record appends ev to the timeline; a nil tracer records nothing.
+func (t *Tracer) Record(ev TraceEvent) {
 	if t == nil {
 		return
 	}
@@ -44,12 +45,14 @@ func (t *Tracer) record(ev TraceEvent) {
 	t.mu.Unlock()
 }
 
-// Events returns the collected events sorted by (rank, start).
+// Events returns the collected events sorted by (rank, start). The sort is
+// stable, so a rank's events stay in the order it recorded them: a
+// zero-length event and the span that follows it share a start.
 func (t *Tracer) Events() []TraceEvent {
 	t.mu.Lock()
 	out := append([]TraceEvent(nil), t.events...)
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Rank != out[j].Rank {
 			return out[i].Rank < out[j].Rank
 		}

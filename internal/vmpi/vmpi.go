@@ -1,17 +1,20 @@
 // Package vmpi implements a virtual-time message-passing runtime: the MPI
-// substitute on which the HPL reproduction runs.
+// substitute the HPL reproduction is simulated on.
 //
-// Each rank executes as a coroutine with its own virtual clock, and one
-// scheduler (Schedule) runs the ranks one at a time on the caller's
-// goroutine. Sends are eager and buffered: the sender pays the transfer time
-// on its clock and the message records when its data is available. A
-// receive that finds no matching message yields to the scheduler, which runs
-// the rank it waits on; once the message exists the receiver advances its
-// virtual clock to max(own clock, availability). A rank's clock depends only
-// on its own program and the messages it matches, never on the schedule, so
-// the simulation of blocking MPI semantics is deterministic without a global
-// event queue, while still moving real payload data (used by the numeric HPL
-// mode). Ranks that wait on each other are reported as ErrDeadlock.
+// Schedule runs ranks one at a time on the caller's goroutine; the HPL
+// engine (internal/hpl) steps its rank state machines under it, and its
+// broadcasts place ranks with BcastAlg.Tree. World runs a rank body per
+// rank as a coroutine under the same scheduler, the runtime of the 2D-grid
+// HPL (internal/hpl2d). Sends are eager and buffered: the sender pays the
+// transfer time on its clock and the message records when its data is
+// available. A receive that finds no matching message yields to the
+// scheduler, which runs the rank it waits on; once the message exists the
+// receiver advances its virtual clock to max(own clock, availability). A
+// rank's clock depends only on its own program and the messages it matches,
+// never on the schedule, so the simulation of blocking MPI semantics is
+// deterministic without a global event queue, while still moving real
+// payload data. Ranks that wait on each other are reported as ErrDeadlock.
+// A Tracer records each rank's compute spans and messages.
 //
 // Timing is injected via a TransferTime function, typically backed by
 // internal/simnet, so intra-node and inter-node paths and library software
@@ -150,8 +153,8 @@ func (w *World) Run(body func(p *Proc)) ([]float64, error) {
 // between has revisited a rank that still cannot proceed, and Schedule
 // returns an error wrapping ErrDeadlock.
 //
-// World.Run steps coroutines with it; the phantom HPL engine steps its
-// hand-written rank state machines.
+// World.Run steps coroutines with it; the HPL engine steps its hand-written
+// rank state machines.
 func Schedule(n int, moves *int, step func(rank int) int) error {
 	if rank, peer := schedule(make([]bool, n), moves, step); rank >= 0 {
 		return fmt.Errorf("%w: rank %d waits on rank %d, which cannot proceed", ErrDeadlock, rank, peer)
@@ -218,11 +221,6 @@ type Proc struct {
 	// last is the scratch the most recent receive was copied into; Recv
 	// returns &last.
 	last Message
-
-	// SentBytes and RecvBytes accumulate modelled traffic volume.
-	SentBytes, RecvBytes float64
-	// Sends and Recvs count point-to-point operations.
-	Sends, Recvs int
 }
 
 // Rank returns this process's rank in [0, Size).
@@ -241,7 +239,7 @@ func (p *Proc) Advance(dt float64) float64 {
 		return 0
 	}
 	if tr := p.world.tracer; tr != nil {
-		tr.record(TraceEvent{Rank: p.rank, Name: "compute", Start: p.clock, Dur: dt, Peer: -1})
+		tr.Record(TraceEvent{Rank: p.rank, Name: "compute", Start: p.clock, Dur: dt, Peer: -1})
 	}
 	p.clock += dt
 	return dt
@@ -311,10 +309,8 @@ func (p *Proc) send(dst, tag int, data any, valF float64, valI int, bytes float6
 		p.clock += dt
 		w.post(dst, Message{Src: p.rank, Tag: tag, Data: data, Bytes: bytes, valF: valF, valI: valI, availAt: p.clock, kind: kindEager})
 	}
-	p.SentBytes += bytes
-	p.Sends++
 	if tr := w.tracer; tr != nil {
-		tr.record(TraceEvent{Rank: p.rank, Name: "send", Start: start, Dur: p.clock - start, Peer: dst, Tag: tag, Bytes: bytes})
+		tr.Record(TraceEvent{Rank: p.rank, Name: "send", Start: start, Dur: p.clock - start, Peer: dst, Tag: tag, Bytes: bytes})
 	}
 	return p.clock - start
 }
@@ -358,10 +354,8 @@ func (p *Proc) recv(src, tag int) float64 {
 	} else if p.last.availAt > p.clock {
 		p.clock = p.last.availAt
 	}
-	p.RecvBytes += p.last.Bytes
-	p.Recvs++
 	if tr := w.tracer; tr != nil {
-		tr.record(TraceEvent{Rank: p.rank, Name: "recv", Start: start, Dur: p.clock - start, Peer: src, Tag: tag, Bytes: p.last.Bytes})
+		tr.Record(TraceEvent{Rank: p.rank, Name: "recv", Start: start, Dur: p.clock - start, Peer: src, Tag: tag, Bytes: p.last.Bytes})
 	}
 	return p.clock - start
 }

@@ -141,24 +141,6 @@ func TestFIFOWithinSameTag(t *testing.T) {
 	})
 }
 
-func TestTrafficAccounting(t *testing.T) {
-	w, _ := NewWorld(2, constTransfer(0, 1e6))
-	mustRun(t, w, func(p *Proc) {
-		switch p.Rank() {
-		case 0:
-			p.Send(1, 1, nil, 500)
-			if p.SentBytes != 500 || p.Sends != 1 {
-				t.Errorf("sender accounting: %v %v", p.SentBytes, p.Sends)
-			}
-		case 1:
-			p.Recv(0, 1)
-			if p.RecvBytes != 500 || p.Recvs != 1 {
-				t.Errorf("receiver accounting: %v %v", p.RecvBytes, p.Recvs)
-			}
-		}
-	})
-}
-
 func TestSendSelfPanics(t *testing.T) {
 	w, _ := NewWorld(1, constTransfer(0, 1))
 	defer func() {
@@ -396,7 +378,7 @@ func TestTracerRecordsTimeline(t *testing.T) {
 
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
-	tr.record(TraceEvent{}) // must not panic
+	tr.Record(TraceEvent{}) // must not panic
 	w, _ := NewWorld(1, constTransfer(0, 1))
 	w.SetTracer(nil)
 	mustRun(t, w, func(p *Proc) { p.Advance(1) })
